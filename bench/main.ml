@@ -23,6 +23,7 @@
 module Models = Straight_core.Models
 module Exp = Straight_core.Experiment
 module Engine = Ooo_common.Engine
+module Session = Ooo_common.Session
 module Stats = Ooo_common.Stats
 
 let quick = ref false
@@ -38,43 +39,21 @@ let header title =
    fault-injection plan included) plus the run knobs that live outside
    Params.t — the same key family the sweep subsystem's on-disk cache
    uses, so a config change can never alias a stale result through a
-   shared model name.  The checkpoint knobs are part of the key even
-   though the fixpoint contract says a resumed run is bit-identical: the
-   perf gate times these runs, and a run that saved snapshots or resumed
-   mid-flight must never be served where an uninterrupted measurement is
-   expected (or vice versa). *)
+   shared model name. *)
 let cache : (string, Exp.result) Hashtbl.t = Hashtbl.create 32
 
-let run ?max_dist ?(check = true) ?(checkpoint_every = 0) ?restore_from
-    ~model ~target w =
+let run ?max_dist ?(check = true) ~model ~target w =
   let key =
-    Printf.sprintf "%s/%s/%s/%d/%b/ck%d/%s"
+    Printf.sprintf "%s/%s/%s/%d/%b"
       (Ooo_common.Params.digest model)
       (Exp.target_label target) w.Workloads.name
       (Option.value ~default:Ooo_common.Params.straight_max_dist max_dist)
-      check checkpoint_every
-      (Option.value ~default:"" restore_from)
+      check
   in
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->
-    let r =
-      if checkpoint_every = 0 && restore_from = None then
-        Exp.run ?max_dist ~check ~model ~target w
-      else
-        let spec = Snapshot.Sim.spec ?max_dist ~check ~model ~target w in
-        let checkpoint_path =
-          Filename.temp_file "straight-bench" ".snap"
-        in
-        match
-          Snapshot.Sim.run ~checkpoint_every ~checkpoint_path ?restore_from
-            spec
-        with
-        | Snapshot.Sim.Completed r ->
-          (try Sys.remove checkpoint_path with Sys_error _ -> ());
-          r
-        | Snapshot.Sim.Stopped _ -> assert false (* no stop_at here *)
-    in
+    let r = Exp.run ?max_dist ~check ~model ~target w in
     Hashtbl.replace cache key r;
     r
 
@@ -365,27 +344,17 @@ let ablation () =
   Printf.printf "%-6s %12s %14s\n" "level" "SS" "STRAIGHT RE+";
   List.iter
     (fun (name, opt) ->
-       let compile_run target =
-         let p = Minic.Lower.compile w.Workloads.source in
-         List.iter (Ssa_ir.Passes.optimize_at opt) p.Ssa_ir.Ir.funcs;
-         match target with
-         | `Riscv ->
-           let image = Riscv_cc.Codegen.compile_to_image p in
-           (Ooo_riscv.Pipeline.run Models.ss_4way image)
-             .Ooo_riscv.Pipeline.stats.Engine.cycles
-         | `Straight ->
-           let image =
-             Straight_cc.Codegen.compile_to_image
-               ~config:{ Straight_cc.Codegen.max_dist =
-                           Ooo_common.Params.straight_max_dist;
-                         level = Straight_cc.Codegen.Re_plus }
-               p
-           in
-           (Ooo_straight.Pipeline.run Models.straight_4way image)
-             .Ooo_straight.Pipeline.stats.Engine.cycles
-       in
-       Printf.printf "%-6s %12d %14d\n%!" name (compile_run `Riscv)
-         (compile_run `Straight))
+       let src = w.Workloads.source in
+       let cycles (r : Session.result) = r.Session.stats.Engine.cycles in
+       Printf.printf "%-6s %12d %14d\n%!" name
+         (cycles
+            (Ooo_riscv.Pipeline.run Models.ss_4way
+               (Straight_core.Compile.to_riscv ~opt src)))
+         (cycles
+            (Ooo_straight.Pipeline.run Models.straight_4way
+               (fst
+                  (Straight_core.Compile.to_straight ~opt
+                     ~level:Straight_cc.Codegen.Re_plus src)))))
     [ ("O0", Ssa_ir.Passes.O0); ("O1", Ssa_ir.Passes.O1);
       ("O2", Ssa_ir.Passes.O2) ]
 
@@ -495,9 +464,9 @@ let micro () =
 
 (* Times the cycle engine alone: compilation and the functional ISS run
    happen once per configuration outside the timed region, and each
-   repetition re-creates only the lockstep checker (part of the default
-   simulation loop, so it stays inside the measurement).  Throughput is
-   reported as simulated kilocycles per host second. *)
+   repetition stands up a fresh engine with its lockstep checker (part
+   of the default simulation loop, so it stays inside the measurement).
+   Throughput is reported as simulated kilocycles per host second. *)
 let json_suite out =
   header (Printf.sprintf "perf suite --> %s" out);
   let reps = if !quick then 7 else 9 in
@@ -514,53 +483,28 @@ let json_suite out =
     a.(Array.length a / 2)
   in
   let time_engine (model : Ooo_common.Params.t) target (w : Workloads.t) =
-    let run_reps mk_checker trace decode_static =
-      (* one untimed warmup settles the heap before measuring *)
-      ignore (Engine.run model ~trace ~decode_static ~checker:(mk_checker ()) ());
-      List.init reps (fun _ ->
-          let checker = mk_checker () in
-          let t0 = Unix.gettimeofday () in
-          let s = Engine.run model ~trace ~decode_static ~checker () in
-          let dt = Unix.gettimeofday () -. t0 in
-          (float_of_int s.Engine.cycles /. dt /. 1000., s))
+    let image, st = Exp.compile target w.Workloads.source in
+    let trace =
+      (st.Session.iss ~trace:true ~max_insns:Session.default_max_insns image)
+        .Iss.Trace.trace
     in
-    match target with
-    | Exp.Riscv ->
-      let image = Straight_core.Compile.to_riscv w.Workloads.source in
-      let r =
-        Iss.Riscv_iss.run
-          ~config:{ Iss.Riscv_iss.collect_trace = true;
-                    max_insns = 50_000_000 }
-          image
+    let engine_run () =
+      let e =
+        Session.engine ~max_dist:Ooo_common.Params.straight_max_dist st model
+          image trace
       in
-      run_reps
-        (fun () ->
-           Ooo_common.Checker.create ~rename:model.Ooo_common.Params.rename
-             ~trace:r.Iss.Trace.trace ())
-        r.Iss.Trace.trace
-        (Ooo_riscv.Pipeline.static_uop image)
-    | Exp.Straight_re | Exp.Straight_raw ->
-      let level =
-        match target with
-        | Exp.Straight_raw -> Straight_cc.Codegen.Raw
-        | _ -> Straight_cc.Codegen.Re_plus
-      in
-      let image, _ =
-        Straight_core.Compile.to_straight ~level w.Workloads.source
-      in
-      let r =
-        Iss.Straight_iss.run
-          ~config:{ Iss.Straight_iss.collect_trace = true;
-                    collect_dist = false; max_insns = 50_000_000 }
-          image
-      in
-      run_reps
-        (fun () ->
-           Ooo_common.Checker.create
-             ~max_dist:Ooo_common.Params.straight_max_dist
-             ~rename:model.Ooo_common.Params.rename ~trace:r.Iss.Trace.trace ())
-        r.Iss.Trace.trace
-        (Ooo_straight.Pipeline.static_uop image)
+      while not (Engine.finished e) do
+        Engine.step e
+      done;
+      Engine.finish e
+    in
+    (* one untimed warmup settles the heap before measuring *)
+    ignore (engine_run ());
+    List.init reps (fun _ ->
+        let t0 = Unix.gettimeofday () in
+        let s = engine_run () in
+        let dt = Unix.gettimeofday () -. t0 in
+        (float_of_int s.Engine.cycles /. dt /. 1000., s))
   in
   let entries =
     List.concat_map

@@ -38,6 +38,18 @@
    flags are needed.  A watchdog deadlock with [-dump-on-error FILE]
    additionally writes a restorable snapshot to FILE.snap.
 
+   Rejected combinations (configuration error, exit 2) — a flag the
+   chosen mode cannot honour is refused, never silently dropped:
+   - under [-fast-forward]: [-stats-json], [-checkpoint],
+     [-checkpoint-every], [-stop-at], [-restore];
+   - under [-sample]: [-fast-forward], [-restore], [-checkpoint],
+     [-checkpoint-every], [-stop-at], [-stats-json];
+   - [-warm] without [-fast-forward]; [-j], [-store], [-sample-json],
+     [-sample-check] and [-sample-floor] without [-sample];
+   - a model whose rename model does not fit the target's ISA (a
+     [riscv] target on a STRAIGHT core, or a STRAIGHT target on an
+     [ss-*] core).
+
    Every failure is reported as a structured diagnostic and mapped to a
    distinct exit code per failure class (see Diag.exit_code): 2 usage or
    configuration, 3 compile-family, 4 execution or memory faults, 5 fuel
@@ -53,6 +65,7 @@ module Diagnostics = Straight_core.Diagnostics
 module Engine = Ooo_common.Engine
 module Stats = Ooo_common.Stats
 module Sim = Snapshot.Sim
+module Session = Ooo_common.Session
 
 let workloads : (string * (unit -> Workloads.t)) list =
   [ ("dhrystone", fun () -> Workloads.dhrystone ~iterations:100 ());
@@ -162,7 +175,44 @@ let () =
        "relative tolerance floor for -sample-check (default 0.02)");
       ("-workload", Arg.Set_string workload, "built-in workload name") ]
   in
-  Arg.parse spec (fun f -> file := f) "straightsim [options] [FILE]";
+  (* remember which flags were given, so a flag the chosen mode would
+     ignore can be refused even when it repeats its default *)
+  let given = Hashtbl.create 16 in
+  let track (flag, action, doc) =
+    let mark () = Hashtbl.replace given flag () in
+    let action =
+      match action with
+      | Arg.Set r -> Arg.Unit (fun () -> mark (); r := true)
+      | Arg.Set_string r -> Arg.String (fun v -> mark (); r := v)
+      | Arg.Set_int r -> Arg.Int (fun v -> mark (); r := v)
+      | Arg.Set_float r -> Arg.Float (fun v -> mark (); r := v)
+      | a -> a
+    in
+    (flag, action, doc)
+  in
+  Arg.parse (List.map track spec) (fun f -> file := f)
+    "straightsim [options] [FILE]";
+  let has flag = Hashtbl.mem given flag in
+  let check_flags () =
+    let refuse why flag =
+      if has flag then
+        Diag.error ~context:[ ("flag", flag) ] Diag.Config_error "%s %s" flag
+          why
+    in
+    let run_flags =
+      [ "-restore"; "-checkpoint"; "-checkpoint-every"; "-stop-at";
+        "-stats-json" ]
+    in
+    if not (has "-fast-forward") then refuse "needs -fast-forward" "-warm";
+    if not (has "-sample") then
+      List.iter (refuse "needs -sample")
+        [ "-j"; "-store"; "-sample-json"; "-sample-check"; "-sample-floor" ];
+    if has "-sample" then
+      List.iter (refuse "cannot be combined with -sample")
+        ("-fast-forward" :: run_flags)
+    else if has "-fast-forward" then
+      List.iter (refuse "cannot be combined with -fast-forward") run_flags
+  in
   let model =
     match !model_name with
     | "ss-2way" -> Params.ss_2way
@@ -195,12 +245,6 @@ let () =
     | "riscv" -> Exp.Riscv
     | t -> Printf.eprintf "unknown target %s\n" t; exit 2
   in
-  (match target, model.Params.rename with
-   | Exp.Riscv, Params.Rp
-   | (Exp.Straight_re | Exp.Straight_raw), (Params.Rmt _ | Params.Rmt_checkpoint _) ->
-     Printf.eprintf "warning: %s target on %s model mixes the ISA and the core\n"
-       !target_name model.Params.name
-   | _ -> ());
   let resolve_workload () =
     match !workload, !file with
     | "", f when f <> "" ->
@@ -265,33 +309,17 @@ let () =
       Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target
         (resolve_workload ())
     in
-    let image = Sim.compile spec in
-    let engine, finish =
-      match target with
-      | Exp.Riscv ->
-        let s =
-          Ooo_riscv.Pipeline.start_region ~check:spec.Sim.check ~warm:!warm
-            ~from:!fast_forward model image
-        in
-        ( s.Ooo_riscv.Pipeline.engine,
-          fun () ->
-            let r = Ooo_riscv.Pipeline.finish s in
-            (r.Ooo_riscv.Pipeline.stats, r.Ooo_riscv.Pipeline.output) )
-      | Exp.Straight_raw | Exp.Straight_re ->
-        let s =
-          Ooo_straight.Pipeline.start_region ~check:spec.Sim.check
-            ~max_dist:!maxdist ~warm:!warm ~from:!fast_forward model image
-        in
-        ( s.Ooo_straight.Pipeline.engine,
-          fun () ->
-            let r = Ooo_straight.Pipeline.finish s in
-            (r.Ooo_straight.Pipeline.stats, r.Ooo_straight.Pipeline.output) )
+    let image, st = Sim.compile spec in
+    let s =
+      Session.start ~check:spec.Sim.check ~max_dist:!maxdist ~warm:!warm
+        ~from:!fast_forward st model image
     in
+    let engine = s.Session.engine in
     while not (Engine.finished engine) do
       Engine.step engine
     done;
     let committed = Engine.committed_count engine in
-    let stats, output = finish () in
+    let { Session.stats; output; _ } = Session.finish s in
     Printf.printf "model        : %s\n" model.Params.name;
     Printf.printf "target       : %s\n" (Exp.target_label target);
     Printf.printf "fast-forward : %d instructions (%s handoff)\n"
@@ -388,11 +416,12 @@ let () =
       if not v.Sample.Recombine.ok then exit 1
     end
   in
-  if !sample <> "" then
+  (try check_flags () with e -> handle_failure e);
+  if has "-sample" then
     try run_sampled () with
     | Sweep.Pool.Interrupted _ -> exit 130
     | e -> handle_failure e
-  else if !fast_forward > 0 then
+  else if has "-fast-forward" then
     try run_fast_forward () with e -> handle_failure e
   else
   match outcome () with
@@ -422,11 +451,7 @@ let () =
     Printf.printf "mix          : %s\n"
       (String.concat ", "
          (List.map (fun (k, v) -> Printf.sprintf "%s=%d" k v) s.Engine.mix));
-    Printf.printf "CPI stack    : %s\n"
-      (String.concat ", "
-         (List.map
-            (fun (k, v) -> Printf.sprintf "%s=%d" k v)
-            (Stats.cpi_to_assoc s.Engine.cpi_stack)));
+    print_cpi_stack s.Engine.cpi_stack;
     (if !stats_json <> "" then begin
        let json =
          Stats.Json.Obj

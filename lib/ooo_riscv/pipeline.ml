@@ -6,6 +6,7 @@ module Isa = Riscv_isa.Isa
 module Encoding = Riscv_isa.Encoding
 module Image = Assembler.Image
 module Trace = Iss.Trace
+module Session = Ooo_common.Session
 
 let static_uop (image : Image.t) pc : Trace.uop option =
   match Image.fetch_word image pc with
@@ -54,99 +55,37 @@ let static_uop (image : Image.t) pc : Trace.uop option =
               mem_addr = 0;
               ctrl }))
 
-type result = {
+let target =
+  { Session.decode = static_uop;
+    iss =
+      (fun ~trace ~max_insns ?on_retire ?until image ->
+         let s =
+           Iss.Riscv_iss.start
+             ~config:{ Iss.Riscv_iss.collect_trace = trace; max_insns }
+             ?on_retire image
+         in
+         Iss.Riscv_iss.run_session ?until s;
+         Iss.Riscv_iss.finish s);
+    family = Session.Rmt_family }
+
+type result = Session.result = {
   stats : Ooo_common.Engine.stats;
   output : string;
+  dist_histogram : int array;
 }
 
-(* A live run: the cycle-level engine plus the ISS result it replays
-   (the ISS always runs to completion first — the engine is
-   trace-driven). *)
-type session = {
+type session = Session.t = {
   engine : Ooo_common.Engine.t;
   run_info : Trace.run;
 }
 
-let iss_run ~max_insns image =
-  Iss.Riscv_iss.run
-    ~config:{ Iss.Riscv_iss.collect_trace = true; max_insns }
-    image
+let start ?max_insns ?check params image =
+  Session.start ?max_insns ?check target params image
 
-(* The ISS trace doubles as the golden model: unless [check] is false, a
-   lockstep checker validates every commit against it. *)
-let make_checker ~check (params : Ooo_common.Params.t) (r : Trace.run) =
-  if check then
-    Some
-      (Ooo_common.Checker.create
-         ~rename:params.Ooo_common.Params.rename ~trace:r.Trace.trace ())
-  else None
+let start_region ?max_insns ?check ?warm ~from ?len params image =
+  Session.start ?max_insns ?check ?warm ~from ?len target params image
 
-let start ?(max_insns = 50_000_000) ?(check = true)
-    (params : Ooo_common.Params.t) (image : Image.t) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check params r in
-  let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ()
-  in
-  { engine; run_info = r }
+let finish = Session.finish
 
-(* [start_region ~from ?len] fast-forwards functionally over the first
-   [from] retirements — warming caches/predictors along the way unless
-   [warm] is false — and stands up the timing model over the next [len]
-   retirements only (to the end of the program when [len] is omitted).
-   The renamer starts with a fresh RMT over the sub-trace: operands whose
-   producers precede the region read the architectural file, exactly as
-   they would mid-flight with the window drained. *)
-let start_region ?(max_insns = 50_000_000) ?(check = true) ?(warm = true)
-    ~(from : int) ?len (params : Ooo_common.Params.t) (image : Image.t)
-    : session =
-  let stop = match len with None -> max_int | Some l -> from + l in
-  let w = if warm then Some (Ooo_common.Warm.create params) else None in
-  let buf = ref [] in
-  let on_retire idx u =
-    if idx < from then
-      (match w with Some w -> Ooo_common.Warm.observe w u | None -> ())
-    else if idx < stop then buf := u :: !buf
-  in
-  let s =
-    Iss.Riscv_iss.start
-      ~config:{ Iss.Riscv_iss.collect_trace = false; max_insns }
-      ~on_retire image
-  in
-  Iss.Riscv_iss.run_session ~until:stop s;
-  let r0 = Iss.Riscv_iss.finish s in
-  let r = { r0 with Trace.trace = Array.of_list (List.rev !buf) } in
-  if Array.length r.Trace.trace = 0 then
-    Diag.error Diag.Config_error
-      "region start %d is past the end of the run (%d retired)" from
-      r.Trace.retired;
-  let checker = make_checker ~check params r in
-  let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ?warm:w ()
-  in
-  { engine; run_info = r }
-
-let resume ?(max_insns = 50_000_000) ?(check = true)
-    (params : Ooo_common.Params.t) (image : Image.t)
-    (reader : Ooo_common.Bin.reader) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check params r in
-  let engine =
-    Ooo_common.Engine.restore params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker reader
-  in
-  { engine; run_info = r }
-
-let finish (s : session) : result =
-  { stats = Ooo_common.Engine.finish s.engine;
-    output = s.run_info.Trace.output }
-
-let run ?max_insns ?check (params : Ooo_common.Params.t) (image : Image.t)
-    : result =
-  let s = start ?max_insns ?check params image in
-  while not (Ooo_common.Engine.finished s.engine) do
-    Ooo_common.Engine.step s.engine
-  done;
-  finish s
+let run ?max_insns ?check params image =
+  Session.run ?max_insns ?check target params image

@@ -6,15 +6,18 @@ val static_uop : Assembler.Image.t -> int -> Iss.Trace.uop option
 (** Decode a static instruction for wrong-path fetch ([None] at EBREAK or
     outside .text). *)
 
-type result = {
+val target : Ooo_common.Session.target
+(** The RV32IM side of a {!Ooo_common.Session}: {!static_uop}, the
+    RV32IM ISS, and the RMT rename family.  The functions below are
+    {!Ooo_common.Session}'s over this target. *)
+
+type result = Ooo_common.Session.result = {
   stats : Ooo_common.Engine.stats;
   output : string;
+  dist_histogram : int array;     (** always empty for RV32IM *)
 }
 
-(** A live run: the cycle-level engine plus the ISS result it replays
-    (the functional simulation always completes first — the engine is
-    trace-driven). *)
-type session = {
+type session = Ooo_common.Session.t = {
   engine : Ooo_common.Engine.t;
   run_info : Iss.Trace.run;
 }
@@ -22,41 +25,25 @@ type session = {
 val start :
   ?max_insns:int -> ?check:bool ->
   Ooo_common.Params.t -> Assembler.Image.t -> session
-(** Run the functional simulator and stand up the timing model at
-    cycle 0.  Advance with {!Ooo_common.Engine.step} until
-    {!Ooo_common.Engine.finished}, then call {!finish}. *)
+(** {!Ooo_common.Session.start} of the whole program. *)
 
 val start_region :
   ?max_insns:int -> ?check:bool -> ?warm:bool ->
   from:int -> ?len:int ->
   Ooo_common.Params.t -> Assembler.Image.t -> session
-(** Fast-forward: run the functional simulator over the first [from]
-    retirements at full speed — functionally warming the caches, branch
-    predictor and RAS unless [warm] is [false] — then stand up the
-    timing model over the next [len] retirements only (to the end of the
-    program when omitted), with the warmed tables handed to the engine.
-    [run_info.trace] holds just the region's uops; the lockstep checker
-    (when [check]) validates the region commit stream against it.
+(** {!Ooo_common.Session.start} of the region of [len] retirements after
+    the first [from] (fast-forwarded, warmed unless [warm] is [false]).
     @raise Diag.Error code [Config_error] when [from] is at or past the
     end of the program. *)
 
-val resume :
-  ?max_insns:int -> ?check:bool ->
-  Ooo_common.Params.t -> Assembler.Image.t ->
-  Ooo_common.Bin.reader -> session
-(** Like {!start}, but the engine state comes from a checkpoint image
-    instead of cycle 0.  The ISS re-runs deterministically; the caller
-    (the snapshot layer) is responsible for checking that params and the
-    regenerated trace match the checkpoint.
-    @raise Ooo_common.Bin.Corrupt on a malformed or mismatched image. *)
-
 val finish : session -> result
-(** Run the checker's end-of-run validation and freeze statistics. *)
+(** {!Ooo_common.Session.finish}. *)
 
 val run :
   ?max_insns:int -> ?check:bool ->
   Ooo_common.Params.t -> Assembler.Image.t -> result
-(** Run the functional simulator to obtain the correct-path trace, then
-    the timing model over it — [start] stepped to completion.  [check]
-    (default [true]) arms the lockstep golden-model checker.
-    @raise Diag.Error on simulator deadlock or checker divergence. *)
+(** {!Ooo_common.Session.run}: [start] stepped to completion, then
+    [finish].  [check] (default [true]) arms the lockstep golden-model
+    checker.
+    @raise Diag.Error on a model/target mismatch, simulator deadlock or
+    checker divergence. *)

@@ -6,6 +6,7 @@ module Isa = Straight_isa.Isa
 module Encoding = Straight_isa.Encoding
 module Image = Assembler.Image
 module Trace = Iss.Trace
+module Session = Ooo_common.Session
 
 (* Decode a static instruction for wrong-path fetch: no dynamic outcomes,
    only the statically known structure. *)
@@ -57,105 +58,42 @@ let static_uop (image : Image.t) pc : Trace.uop option =
               mem_addr = 0;
               ctrl }))
 
-type result = {
+(* A full run collects the source-distance histogram (Fig. 16); a
+   streaming region or sampling pass does not. *)
+let target =
+  { Session.decode = static_uop;
+    iss =
+      (fun ~trace ~max_insns ?on_retire ?until image ->
+         let s =
+           Iss.Straight_iss.start
+             ~config:{ Iss.Straight_iss.collect_trace = trace;
+                       collect_dist = trace; max_insns }
+             ?on_retire image
+         in
+         Iss.Straight_iss.run_session ?until s;
+         Iss.Straight_iss.finish s);
+    family = Session.Rp_family }
+
+type result = Session.result = {
   stats : Ooo_common.Engine.stats;
   output : string;
   dist_histogram : int array;
 }
 
-(* A live run: the cycle-level engine plus the ISS result it replays.
-   The ISS always runs to completion first (the engine is trace-driven),
-   so a session holds the whole functional outcome from the start; the
-   snapshot layer uses that to fingerprint checkpoints. *)
-type session = {
+type session = Session.t = {
   engine : Ooo_common.Engine.t;
   run_info : Trace.run;
 }
 
-let iss_run ~max_insns image =
-  Iss.Straight_iss.run
-    ~config:{ Iss.Straight_iss.collect_trace = true;
-              collect_dist = true; max_insns }
+let start ?max_insns ?check ?(max_dist = Isa.max_dist) params image =
+  Session.start ?max_insns ?check ~max_dist target params image
+
+let start_region ?max_insns ?check ?(max_dist = Isa.max_dist) ?warm ~from
+    ?len params image =
+  Session.start ?max_insns ?check ~max_dist ?warm ~from ?len target params
     image
 
-(* The ISS trace doubles as the golden model: unless [check] is false, a
-   lockstep checker validates every commit against it. *)
-let make_checker ~check ~max_dist (params : Ooo_common.Params.t)
-    (r : Trace.run) =
-  if check then
-    Some
-      (Ooo_common.Checker.create ~max_dist
-         ~rename:params.Ooo_common.Params.rename ~trace:r.Trace.trace ())
-  else None
+let finish = Session.finish
 
-let start ?(max_insns = 50_000_000) ?(check = true) ?(max_dist = Isa.max_dist)
-    (params : Ooo_common.Params.t) (image : Image.t) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check ~max_dist params r in
-  let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ()
-  in
-  { engine; run_info = r }
-
-(* [start_region ~from ?len] fast-forwards functionally over the first
-   [from] retirements — warming caches/predictors along the way unless
-   [warm] is false — and stands up the timing model over the next [len]
-   retirements only (to the end of the program when [len] is omitted).
-   The engine starts at cycle 0 on the sub-trace: RP operands whose
-   producers precede the region resolve as already-committed, exactly as
-   they would mid-flight. *)
-let start_region ?(max_insns = 50_000_000) ?(check = true)
-    ?(max_dist = Isa.max_dist) ?(warm = true) ~(from : int) ?len
-    (params : Ooo_common.Params.t) (image : Image.t) : session =
-  let stop = match len with None -> max_int | Some l -> from + l in
-  let w = if warm then Some (Ooo_common.Warm.create params) else None in
-  let buf = ref [] in
-  let on_retire idx u =
-    if idx < from then
-      (match w with Some w -> Ooo_common.Warm.observe w u | None -> ())
-    else if idx < stop then buf := u :: !buf
-  in
-  let s =
-    Iss.Straight_iss.start
-      ~config:{ Iss.Straight_iss.collect_trace = false;
-                collect_dist = false; max_insns }
-      ~on_retire image
-  in
-  Iss.Straight_iss.run_session ~until:stop s;
-  let r0 = Iss.Straight_iss.finish s in
-  let r = { r0 with Trace.trace = Array.of_list (List.rev !buf) } in
-  if Array.length r.Trace.trace = 0 then
-    Diag.error Diag.Config_error
-      "region start %d is past the end of the run (%d retired)" from
-      r.Trace.retired;
-  let checker = make_checker ~check ~max_dist params r in
-  let engine =
-    Ooo_common.Engine.create params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker ?warm:w ()
-  in
-  { engine; run_info = r }
-
-let resume ?(max_insns = 50_000_000) ?(check = true) ?(max_dist = Isa.max_dist)
-    (params : Ooo_common.Params.t) (image : Image.t)
-    (reader : Ooo_common.Bin.reader) : session =
-  let r = iss_run ~max_insns image in
-  let checker = make_checker ~check ~max_dist params r in
-  let engine =
-    Ooo_common.Engine.restore params ~trace:r.Trace.trace
-      ~decode_static:(static_uop image) ?checker reader
-  in
-  { engine; run_info = r }
-
-let finish (s : session) : result =
-  { stats = Ooo_common.Engine.finish s.engine;
-    output = s.run_info.Trace.output;
-    dist_histogram = s.run_info.Trace.dist_histogram }
-
-let run ?max_insns ?check ?max_dist (params : Ooo_common.Params.t)
-    (image : Image.t) : result =
-  let s = start ?max_insns ?check ?max_dist params image in
-  while not (Ooo_common.Engine.finished s.engine) do
-    Ooo_common.Engine.step s.engine
-  done;
-  finish s
+let run ?max_insns ?check ?(max_dist = Isa.max_dist) params image =
+  Session.run ?max_insns ?check ~max_dist target params image

@@ -10,6 +10,7 @@ module Warm = Ooo_common.Warm
 module Uop_io = Ooo_common.Uop_io
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
+module Session = Ooo_common.Session
 module Sim = Snapshot.Sim
 module File = Snapshot.File
 
@@ -214,8 +215,10 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
   | Some p when List.for_all (fun e -> Sys.file_exists e.path) p.entries ->
     (p, true)
   | _ ->
+    let image, st = Sim.compile spec in
+    (* a model/target mismatch must fail before the ISS pass *)
+    Session.check_model st spec.Sim.params;
     mkdir_p sdir;
-    let image = Sim.compile spec in
     let warm = Warm.create spec.Sim.params in
     let period = sp.Spec.every * sp.Spec.interval in
     let next_index = ref 0 in
@@ -265,26 +268,8 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
       Warm.observe warm u
     in
     let total_retired =
-      match spec.Sim.target with
-      | Exp.Riscv ->
-        let s =
-          Iss.Riscv_iss.start
-            ~config:{ Iss.Riscv_iss.collect_trace = false;
-                      max_insns = spec.Sim.max_insns }
-            ~on_retire image
-        in
-        Iss.Riscv_iss.run_session s;
-        (Iss.Riscv_iss.finish s).Trace.retired
-      | Exp.Straight_raw | Exp.Straight_re ->
-        let s =
-          Iss.Straight_iss.start
-            ~config:{ Iss.Straight_iss.collect_trace = false;
-                      collect_dist = false;
-                      max_insns = spec.Sim.max_insns }
-            ~on_retire image
-        in
-        Iss.Straight_iss.run_session s;
-        (Iss.Straight_iss.finish s).Trace.retired
+      (st.Session.iss ~trace:false ~max_insns:spec.Sim.max_insns ~on_retire
+         image).Trace.retired
     in
     (* the program halted with windows still open: truncated intervals *)
     List.iter close !open_windows;
@@ -310,7 +295,7 @@ let run_file path : result =
     reject path "this is an engine-image checkpoint, not a sampling interval"
   | File.Interval { index; start; len; warmup } ->
     let spec = Sim.spec_of_meta path m in
-    let image = Sim.compile spec in
+    let image, st = Sim.compile spec in
     let warm = Warm.create spec.Sim.params in
     let uops =
       try
@@ -333,22 +318,9 @@ let run_file path : result =
     if digest <> m.File.trace_digest then
       reject path "stored sub-trace digest %s differs from meta digest %s"
         digest m.File.trace_digest;
-    let checker =
-      if spec.Sim.check then
-        Some
-          (Ooo_common.Checker.create ~max_dist:spec.Sim.max_dist
-             ~rename:spec.Sim.params.Params.rename ~trace:uops ())
-      else None
-    in
-    let decode_static =
-      match spec.Sim.target with
-      | Exp.Riscv -> Ooo_riscv.Pipeline.static_uop image
-      | Exp.Straight_raw | Exp.Straight_re ->
-        Ooo_straight.Pipeline.static_uop image
-    in
     let engine =
-      Engine.create spec.Sim.params ~trace:uops ~decode_static ?checker ~warm
-        ()
+      Session.engine ~check:spec.Sim.check ~max_dist:spec.Sim.max_dist ~warm
+        st spec.Sim.params image uops
     in
     (* detailed warmup: simulate until the warmup prefix has committed,
        then snapshot the accounting so the interval is measured alone *)

@@ -7,7 +7,7 @@ module Params = Ooo_common.Params
 module Json = Ooo_common.Stats.Json
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
-module Compile = Straight_core.Compile
+module Session = Ooo_common.Session
 
 type spec = {
   target : Exp.target;
@@ -18,53 +18,34 @@ type spec = {
   check : bool;
 }
 
-let spec ?(max_insns = 50_000_000) ?(max_dist = Params.straight_max_dist)
-    ?(check = true) ~model ~target workload =
+let spec ?(max_insns = Session.default_max_insns)
+    ?(max_dist = Params.straight_max_dist) ?(check = true) ~model ~target
+    workload =
   { target; params = model; workload; max_insns; max_dist; check }
 
 type session = {
   spec : spec;
-  engine : Engine.t;
-  run_info : Trace.run;
+  live : Session.t;
 }
 
-let compile (s : spec) : Assembler.Image.t =
-  match s.target with
-  | Exp.Riscv -> Compile.to_riscv s.workload.Workloads.source
-  | Exp.Straight_raw ->
-    fst
-      (Compile.to_straight ~max_dist:s.max_dist
-         ~level:Straight_cc.Codegen.Raw s.workload.Workloads.source)
-  | Exp.Straight_re ->
-    fst
-      (Compile.to_straight ~max_dist:s.max_dist
-         ~level:Straight_cc.Codegen.Re_plus s.workload.Workloads.source)
+let compile (s : spec) : Assembler.Image.t * Session.target =
+  Exp.compile ~max_dist:s.max_dist s.target s.workload.Workloads.source
 
 let start (s : spec) : session =
-  let image = compile s in
-  match s.target with
-  | Exp.Riscv ->
-    let ps =
-      Ooo_riscv.Pipeline.start ~max_insns:s.max_insns ~check:s.check s.params
-        image
-    in
-    { spec = s; engine = ps.Ooo_riscv.Pipeline.engine;
-      run_info = ps.Ooo_riscv.Pipeline.run_info }
-  | Exp.Straight_raw | Exp.Straight_re ->
-    let ps =
-      Ooo_straight.Pipeline.start ~max_insns:s.max_insns ~check:s.check
-        ~max_dist:s.max_dist s.params image
-    in
-    { spec = s; engine = ps.Ooo_straight.Pipeline.engine;
-      run_info = ps.Ooo_straight.Pipeline.run_info }
+  let image, st = compile s in
+  { spec = s;
+    live =
+      Session.start ~max_insns:s.max_insns ~check:s.check ~max_dist:s.max_dist
+        st s.params image }
 
-let step s = Engine.step s.engine
-let finished s = Engine.finished s.engine
-let cycle s = Engine.cycle s.engine
+let step s = Engine.step s.live.Session.engine
+let finished s = Engine.finished s.live.Session.engine
+let cycle s = Engine.cycle s.live.Session.engine
 
 (* ---------- save ---------- *)
 
 let meta_of (s : session) : File.meta =
+  let engine = s.live.Session.engine and run_info = s.live.Session.run_info in
   { File.kind = File.Engine_image;
     target = Exp.target_label s.spec.target;
     params_json = Json.to_string ~indent:false (Params.to_json s.spec.params);
@@ -74,16 +55,16 @@ let meta_of (s : session) : File.meta =
     max_insns = s.spec.max_insns;
     max_dist = s.spec.max_dist;
     check = s.spec.check;
-    cycle = Engine.cycle s.engine;
-    committed = Engine.committed_count s.engine;
-    trace_digest = Trace.digest s.run_info.Trace.trace;
-    output = s.run_info.Trace.output;
-    retired = s.run_info.Trace.retired;
-    dist_histogram = s.run_info.Trace.dist_histogram }
+    cycle = Engine.cycle engine;
+    committed = Engine.committed_count engine;
+    trace_digest = Trace.digest run_info.Trace.trace;
+    output = run_info.Trace.output;
+    retired = run_info.Trace.retired;
+    dist_histogram = run_info.Trace.dist_histogram }
 
 let save (s : session) path =
   let b = Buffer.create 65536 in
-  Engine.save b s.engine;
+  Engine.save b s.live.Session.engine;
   File.save path (meta_of s) ~payload:(Buffer.contents b)
 
 (* ---------- restore ---------- *)
@@ -126,45 +107,33 @@ let restore_meta path (m : File.meta) (r : Bin.reader) : session =
        "this is a sampling-interval checkpoint, not an engine image \
         (use straightsim -sample to consume it)");
   let s = spec_of_meta path m in
-  let image = compile s in
-  let session =
+  let image, st = compile s in
+  let live =
     try
-      match s.target with
-      | Exp.Riscv ->
-        let ps =
-          Ooo_riscv.Pipeline.resume ~max_insns:s.max_insns ~check:s.check
-            s.params image r
-        in
-        { spec = s; engine = ps.Ooo_riscv.Pipeline.engine;
-          run_info = ps.Ooo_riscv.Pipeline.run_info }
-      | Exp.Straight_raw | Exp.Straight_re ->
-        let ps =
-          Ooo_straight.Pipeline.resume ~max_insns:s.max_insns ~check:s.check
-            ~max_dist:s.max_dist s.params image r
-        in
-        { spec = s; engine = ps.Ooo_straight.Pipeline.engine;
-          run_info = ps.Ooo_straight.Pipeline.run_info }
+      Session.resume ~max_insns:s.max_insns ~check:s.check ~max_dist:s.max_dist
+        st s.params image r
     with Bin.Corrupt msg -> reject path "engine image: %s" msg
   in
   (try Bin.expect_end r
    with Bin.Corrupt msg -> reject path "engine image: %s" msg);
   (* prove the regenerated functional run is the one the checkpoint was
      taken against, not merely shaped like it *)
-  let digest = Trace.digest session.run_info.Trace.trace in
+  let run_info = live.Session.run_info in
+  let digest = Trace.digest run_info.Trace.trace in
   if digest <> m.File.trace_digest then
     reject path
       "regenerated trace digest %s differs from checkpoint digest %s \
        (compiler or ISS drift since the checkpoint was taken)"
       digest m.File.trace_digest;
-  if session.run_info.Trace.output <> m.File.output then
+  if run_info.Trace.output <> m.File.output then
     reject path "regenerated program output differs from the checkpoint";
-  if session.run_info.Trace.retired <> m.File.retired then
+  if run_info.Trace.retired <> m.File.retired then
     reject path "regenerated run retired %d instructions, checkpoint ran %d"
-      session.run_info.Trace.retired m.File.retired;
-  if Engine.cycle session.engine <> m.File.cycle then
+      run_info.Trace.retired m.File.retired;
+  if Engine.cycle live.Session.engine <> m.File.cycle then
     reject path "engine image is at cycle %d, meta records %d"
-      (Engine.cycle session.engine) m.File.cycle;
-  session
+      (Engine.cycle live.Session.engine) m.File.cycle;
+  { spec = s; live }
 
 let restore path : session =
   let m, r = File.load path in
@@ -200,19 +169,8 @@ let resume (want : spec) path : session =
 (* ---------- finish ---------- *)
 
 let finish (s : session) : Exp.result =
-  let stats = Engine.finish s.engine in
-  { Exp.workload = s.spec.workload.Workloads.name;
-    model = s.spec.params.Params.name;
-    target = s.spec.target;
-    cycles = stats.Engine.cycles;
-    committed = stats.Engine.committed;
-    ipc = stats.Engine.ipc;
-    output = s.run_info.Trace.output;
-    stats;
-    dist_histogram =
-      (match s.spec.target with
-       | Exp.Riscv -> [||]
-       | _ -> s.run_info.Trace.dist_histogram) }
+  Exp.summarize ~model:s.spec.params ~target:s.spec.target s.spec.workload
+    (Session.finish s.live)
 
 (* ---------- driver loop ---------- *)
 

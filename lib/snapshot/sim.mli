@@ -1,6 +1,6 @@
 (** Checkpointable simulation sessions.
 
-    A {!session} is a live cycle-level run (either pipeline) that can be
+    A {!session} is a live {!Ooo_common.Session} (either target) that can be
     advanced cycle by cycle, saved to a {!File} container at any cycle
     boundary, and later restored — from the file alone.  The fixpoint
     contract, enforced by [test/test_snapshot.ml]: save at any cycle,
@@ -30,9 +30,10 @@ val spec :
 (** Defaults mirror [Experiment.run]: 50M instruction budget, Table-I
     max distance, checker on. *)
 
-val compile : spec -> Assembler.Image.t
-(** Compile the spec's workload for its target (shared with the
-    interval sampler, which needs the image for wrong-path decode). *)
+val compile : spec -> Assembler.Image.t * Ooo_common.Session.target
+(** {!Straight_core.Experiment.compile} of the spec's workload: the
+    image and the session target that simulates it (shared with the
+    interval sampler and the fast-forward driver). *)
 
 val spec_of_meta : string -> File.meta -> spec
 (** Decode the spec embedded in a checkpoint's meta section; the string

@@ -56,10 +56,6 @@ module Diagnostics = struct
 end
 
 module Compile = struct
-  type target =
-    | Straight of Straight_cc.Codegen.opt_level   (* RAW or RE+ *)
-    | Riscv
-
   (* [frontend ?opt ?checked src] parses + lowers + optimizes source
      into SSA IR (each call returns a fresh program: back ends mutate
      the IR).  The front-end is sniffed from the content — WAT modules
@@ -126,44 +122,45 @@ module Experiment = struct
     ipc : float;
     output : string;
     stats : Ooo_common.Engine.stats;
-    dist_histogram : int array;        (* STRAIGHT targets only *)
+    dist_histogram : int array;        (* empty for the RV32IM target *)
   }
+
+  (* The one place a target selects its compiler and its session
+     target: [compile ?max_dist target source] is the image to simulate
+     and the ISA side of the session that simulates it. *)
+  let compile ?(max_dist = Ooo_common.Params.straight_max_dist)
+      (target : target) (src : string) :
+    Assembler.Image.t * Ooo_common.Session.target =
+    let straight level =
+      ( fst (Compile.to_straight ~max_dist ~level src),
+        Ooo_straight.Pipeline.target )
+    in
+    match target with
+    | Riscv -> (Compile.to_riscv src, Ooo_riscv.Pipeline.target)
+    | Straight_raw -> straight Straight_cc.Codegen.Raw
+    | Straight_re -> straight Straight_cc.Codegen.Re_plus
+
+  let summarize ~(model : Ooo_common.Params.t) ~(target : target)
+      (w : Workloads.t) (r : Ooo_common.Session.result) : result =
+    let stats = r.Ooo_common.Session.stats in
+    { workload = w.Workloads.name;
+      model = model.Ooo_common.Params.name;
+      target;
+      cycles = stats.Ooo_common.Engine.cycles;
+      committed = stats.Ooo_common.Engine.committed;
+      ipc = stats.Ooo_common.Engine.ipc;
+      output = r.Ooo_common.Session.output;
+      stats;
+      dist_histogram = r.Ooo_common.Session.dist_histogram }
 
   (* [run ~model ~target ?max_dist workload] compiles the workload for the
      target ISA and simulates it on the cycle-level model. *)
   let run ?(max_dist = Ooo_common.Params.straight_max_dist) ?(check = true)
       ~(model : Ooo_common.Params.t) ~(target : target)
       (w : Workloads.t) : result =
-    match target with
-    | Riscv ->
-      let image = Compile.to_riscv w.Workloads.source in
-      let r = Ooo_riscv.Pipeline.run ~check model image in
-      { workload = w.Workloads.name;
-        model = model.Ooo_common.Params.name;
-        target;
-        cycles = r.Ooo_riscv.Pipeline.stats.Ooo_common.Engine.cycles;
-        committed = r.Ooo_riscv.Pipeline.stats.Ooo_common.Engine.committed;
-        ipc = r.Ooo_riscv.Pipeline.stats.Ooo_common.Engine.ipc;
-        output = r.Ooo_riscv.Pipeline.output;
-        stats = r.Ooo_riscv.Pipeline.stats;
-        dist_histogram = [||] }
-    | Straight_raw | Straight_re ->
-      let level =
-        match target with
-        | Straight_raw -> Straight_cc.Codegen.Raw
-        | _ -> Straight_cc.Codegen.Re_plus
-      in
-      let image, _ = Compile.to_straight ~max_dist ~level w.Workloads.source in
-      let r = Ooo_straight.Pipeline.run ~check ~max_dist model image in
-      { workload = w.Workloads.name;
-        model = model.Ooo_common.Params.name;
-        target;
-        cycles = r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.cycles;
-        committed = r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.committed;
-        ipc = r.Ooo_straight.Pipeline.stats.Ooo_common.Engine.ipc;
-        output = r.Ooo_straight.Pipeline.output;
-        stats = r.Ooo_straight.Pipeline.stats;
-        dist_histogram = r.Ooo_straight.Pipeline.dist_histogram }
+    let image, st = compile ~max_dist target w.Workloads.source in
+    summarize ~model ~target w
+      (Ooo_common.Session.run ~check ~max_dist st model image)
 
   (* Relative performance (inverse cycles), the metric of Figs. 11-14. *)
   let relative_perf ~(baseline : result) (r : result) : float =

@@ -35,10 +35,6 @@ end
 
 (** Compilation pipelines: MiniC source -> SSA IR -> either target. *)
 module Compile : sig
-  type target =
-    | Straight of Straight_cc.Codegen.opt_level
-    | Riscv
-
   val frontend :
     ?opt:Ssa_ir.Passes.opt_level -> ?checked:bool -> string ->
     Ssa_ir.Ir.program
@@ -86,15 +82,31 @@ module Experiment : sig
     ipc : float;
     output : string;                 (** program console output *)
     stats : Ooo_common.Engine.stats;
-    dist_histogram : int array;      (** STRAIGHT targets only *)
+    dist_histogram : int array;      (** empty for [Riscv] *)
   }
+
+  val compile :
+    ?max_dist:int -> target -> string ->
+    Assembler.Image.t * Ooo_common.Session.target
+  (** Compile MiniC/WAT source for the target (O2; STRAIGHT at the given
+      max distance, default the Table-I 31, RAW or RE+) and pair the
+      image with the session target that simulates it — the only place a
+      target selects its compiler, ISS and decoder. *)
+
+  val summarize :
+    model:Ooo_common.Params.t -> target:target -> Workloads.t ->
+    Ooo_common.Session.result -> result
+  (** The experiment record of a finished session. *)
 
   val run :
     ?max_dist:int -> ?check:bool ->
     model:Ooo_common.Params.t -> target:target ->
     Workloads.t -> result
   (** Compile the workload for the target ISA and simulate it.  [check]
-      (default [true]) arms the lockstep golden-model checker. *)
+      (default [true]) arms the lockstep golden-model checker.
+      @raise Diag.Error code [Config_error] when the model's rename
+      model does not fit the target's ISA (see
+      {!Ooo_common.Session.check_model}). *)
 
   val relative_perf : baseline:result -> result -> float
   (** Inverse-cycles relative performance, the metric of Figs. 11-14. *)

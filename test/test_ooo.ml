@@ -327,6 +327,72 @@ let test_pointer_chase_misses () =
   Alcotest.(check bool) "pointer chase misses in L1D" true
     (r.Ooo_riscv.Pipeline.stats.Engine.l1d_misses > 500)
 
+(* ---------- the target-generic session ---------- *)
+
+let expect_config_error what f =
+  match f () with
+  | _ -> Alcotest.failf "%s: accepted" what
+  | exception Diag.Error d ->
+    Alcotest.(check string) (what ^ ": code") "CONFIG_ERROR"
+      (Diag.code_name d.Diag.code)
+
+(* a mismatched ISA/core pair is refused up front, before the ISS runs,
+   in both directions and through every entry point *)
+let test_session_rejects_isa_core_mismatch () =
+  let no_iss (tg : Ooo_common.Session.target) =
+    { tg with
+      Ooo_common.Session.iss =
+        (fun ~trace:_ ~max_insns:_ ?on_retire:_ ?until:_ _ ->
+           Alcotest.fail "the ISS ran for a mismatched model") }
+  in
+  let straight = compile_straight sim_source in
+  let riscv = compile_riscv sim_source in
+  List.iter
+    (fun (label, tg, model, image) ->
+       let tg = no_iss tg in
+       expect_config_error (label ^ " start") (fun () ->
+           Ooo_common.Session.start tg model image);
+       expect_config_error (label ^ " region") (fun () ->
+           Ooo_common.Session.start ~from:10 tg model image);
+       expect_config_error (label ^ " resume") (fun () ->
+           Ooo_common.Session.resume tg model image
+             (Ooo_common.Bin.reader ""));
+       expect_config_error (label ^ " engine") (fun () ->
+           Ooo_common.Session.engine tg model image [||]))
+    [ ("riscv code on a STRAIGHT core", Ooo_riscv.Pipeline.target,
+       Params.straight_2way, riscv);
+      ("STRAIGHT code on an SS core", Ooo_straight.Pipeline.target,
+       Params.ss_4way, straight) ];
+  let w = Workloads.fib ~n:5 () in
+  expect_config_error "Experiment.run riscv on straight-4way" (fun () ->
+      Straight_core.Experiment.run ~model:Params.straight_4way
+        ~target:Straight_core.Experiment.Riscv w);
+  expect_config_error "Experiment.run straight-raw on ss-2way" (fun () ->
+      Straight_core.Experiment.run ~check:false ~model:Params.ss_2way
+        ~target:Straight_core.Experiment.Straight_raw w)
+
+(* a region that starts at or past the end of the program has nothing to
+   time: a configuration error, on both targets *)
+let test_region_start_past_end () =
+  List.iter
+    (fun (label, retired, region) ->
+       List.iter
+         (fun from ->
+            expect_config_error
+              (Printf.sprintf "%s: region from %d of %d" label from retired)
+              (fun () -> region from))
+         [ retired; retired + 1; 10 * retired ])
+    [ ( "straight",
+        (Iss.Straight_iss.run (compile_straight sim_source)).Iss.Trace.retired,
+        fun from ->
+          Ooo_straight.Pipeline.start_region ~from Params.straight_2way
+            (compile_straight sim_source) );
+      ( "riscv",
+        (Iss.Riscv_iss.run (compile_riscv sim_source)).Iss.Trace.retired,
+        fun from ->
+          Ooo_riscv.Pipeline.start_region ~from Params.ss_2way
+            (compile_riscv sim_source) ) ]
+
 let suite =
   [ ("cache basics", `Quick, test_cache_basics);
     ("cache LRU", `Quick, test_cache_lru);
@@ -350,6 +416,9 @@ let suite =
     ("engine: checkpointed RMT", `Quick, test_checkpointed_rmt_between);
     ("engine: checkpoint starvation", `Quick, test_checkpoint_starvation);
     ("engine: spadd limit negligible", `Quick, test_spadd_limit_negligible);
+    ("session: ISA/core mismatch rejected", `Quick,
+     test_session_rejects_isa_core_mismatch);
+    ("session: region start past end", `Quick, test_region_start_past_end);
     ("engine: checker on built-in workloads", `Slow, test_checker_on_builtin_workloads);
     ("engine: pointer chase misses", `Slow, test_pointer_chase_misses) ]
 

@@ -237,7 +237,7 @@ let test_warm_handoff_helps () =
      memory behavior is expected *)
   let w = Workloads.dhrystone ~iterations:40 () in
   let spec = Sim.spec ~model:Params.straight_2way ~target:Exp.Straight_re w in
-  let image = Sim.compile spec in
+  let image, _ = Sim.compile spec in
   let region warm =
     let s =
       Ooo_straight.Pipeline.start_region ~warm ~from:15_000
@@ -259,7 +259,7 @@ let test_warm_handoff_helps () =
 let test_warm_save_load_roundtrip () =
   let w = Workloads.dhrystone ~iterations:5 () in
   let spec = Sim.spec ~model:Params.ss_2way ~target:Exp.Riscv w in
-  let image = Sim.compile spec in
+  let image, _ = Sim.compile spec in
   let warm = Ooo_common.Warm.create Params.ss_2way in
   let s =
     Iss.Riscv_iss.start
