@@ -1,7 +1,7 @@
 .PHONY: check build test bench bench-json bench-gate fuzz-smoke \
 	wasm-smoke lint lint-workloads tv fmt \
 	sweep-quick sweep-smoke snapshot-smoke sample-smoke daemon-smoke \
-	coverage loc clean
+	mem-smoke coverage loc clean
 
 check: build test
 
@@ -144,6 +144,15 @@ sample-smoke:
 # straightd-bench/1 reports land in _daemon_smoke/ for CI to archive.
 daemon-smoke:
 	sh scripts/daemon_smoke.sh
+
+# Peak-memory smoke: straightsim fully detailed (checker armed) on
+# stream at ~1M and ~4M retired instructions; fails when either run's
+# peak RSS (getrusage of the children) is above 100 MB or the longer one
+# is more than 15% above the shorter — detailed-run memory must follow
+# the in-flight window, not the run length.
+mem-smoke:
+	dune build bin/straightsim.exe
+	python3 scripts/mem_smoke.py _build/default/bin/straightsim.exe
 
 # Line coverage for the test suite via bisect_ppx (not vendored: the
 # target is a no-op with a hint when the tooling is absent).  The HTML

@@ -484,10 +484,7 @@ let json_suite out =
   in
   let time_engine (model : Ooo_common.Params.t) target (w : Workloads.t) =
     let image, st = Exp.compile target w.Workloads.source in
-    let trace =
-      (st.Session.iss ~trace:true ~max_insns:Session.default_max_insns image)
-        .Iss.Trace.trace
-    in
+    let trace = Session.trace st image in
     let engine_run () =
       let e =
         Session.engine ~max_dist:Ooo_common.Params.straight_max_dist st model

@@ -44,6 +44,11 @@
      [-checkpoint-every], [-stop-at], [-restore];
    - under [-sample]: [-fast-forward], [-restore], [-checkpoint],
      [-checkpoint-every], [-stop-at], [-stats-json];
+   - a FILE together with [-workload];
+   - under [-restore] (the snapshot embeds its workload, model and
+     checker arming): FILE, [-workload], [-model], [-target], [-tage],
+     [-ideal], [-maxdist], [-rob], [-sched], [-no-check], [-inject],
+     [-seed], [-inject-period];
    - [-warm] without [-fast-forward]; [-j], [-store], [-sample-json],
      [-sample-check] and [-sample-floor] without [-sample];
    - a model whose rename model does not fit the target's ISA (a
@@ -77,6 +82,9 @@ let workloads : (string * (unit -> Workloads.t)) list =
     ("pointer-chase", fun () -> Workloads.pointer_chase ());
     ("stream", fun () -> Workloads.stream ());
     ("stream-short", fun () -> Workloads.stream ~iterations:1 ());
+    (* ~1M and ~4M retirements fully detailed: make mem-smoke *)
+    ("stream-1m", fun () -> Workloads.stream ~iterations:3 ());
+    ("stream-4m", fun () -> Workloads.stream ~iterations:12 ());
     ("wasm-sieve", fun () -> Workloads.wasm_sieve ());
     ("wasm-crc32", fun () -> Workloads.wasm_crc32 ());
     ("wasm-expr", fun () -> Workloads.wasm_expr ()) ]
@@ -155,7 +163,8 @@ let () =
        "checkpoint at cycle N and exit without finishing (simulated kill; \
         requires -checkpoint)");
       ("-restore", Arg.Set_string restore,
-       "resume from a snapshot file (self-contained: no other flags needed)");
+       "resume from a snapshot file (self-contained: takes no workload or \
+        model flags)");
       ("-fast-forward", Arg.Set_int fast_forward,
        "skip the first N retired instructions at functional speed");
       ("-warm", Arg.Set warm,
@@ -202,8 +211,14 @@ let () =
     let run_flags =
       [ "-restore"; "-checkpoint"; "-checkpoint-every"; "-stop-at";
         "-stats-json" ]
+    and selection_flags =
+      [ "-model"; "-target"; "-workload"; "-tage"; "-ideal"; "-maxdist";
+        "-rob"; "-sched"; "-no-check"; "-inject"; "-seed"; "-inject-period" ]
     in
     if not (has "-fast-forward") then refuse "needs -fast-forward" "-warm";
+    if has "-workload" && !file <> "" then
+      Diag.error ~context:[ ("file", !file) ] Diag.Config_error
+        "a FILE (%s) cannot be combined with -workload" !file;
     if not (has "-sample") then
       List.iter (refuse "needs -sample")
         [ "-j"; "-store"; "-sample-json"; "-sample-check"; "-sample-floor" ];
@@ -212,6 +227,13 @@ let () =
         ("-fast-forward" :: run_flags)
     else if has "-fast-forward" then
       List.iter (refuse "cannot be combined with -fast-forward") run_flags
+    else if has "-restore" then begin
+      (* the snapshot carries its own workload, model and checker arming *)
+      List.iter (refuse "cannot be combined with -restore") selection_flags;
+      if !file <> "" then
+        Diag.error ~context:[ ("file", !file) ] Diag.Config_error
+          "a FILE (%s) cannot be combined with -restore" !file
+    end
   in
   let model =
     match !model_name with
@@ -263,11 +285,17 @@ let () =
   in
   let outcome () =
     (* a snapshot is self-contained: -restore rebuilds the workload and
-       model from the file and ignores the selection flags *)
+       model from the file (check_flags refuses selection flags) *)
+    (* the trace digest costs a serialization per uop: only a run that
+       may be checkpointed keeps it *)
+    let snapshots =
+      !checkpoint <> ""
+      || (match !dump_on_error with "" | "-" -> false | _ -> true)
+    in
     let session =
-      if !restore <> "" then Sim.restore !restore
+      if !restore <> "" then Sim.restore ~snapshots !restore
       else
-        Sim.start
+        Sim.start ~snapshots
           (Sim.spec ~max_dist:!maxdist ~check:(not !no_check) ~model ~target
              (resolve_workload ()))
     in

@@ -6,6 +6,11 @@ type config = { max_insns : int; collect_trace : bool }
 
 val default_config : config
 
+val static_uop : pc:int -> taken:bool -> Riscv_isa.Isa.resolved -> Trace.uop
+(** The statically known uop of an instruction at [pc], as
+    {!Straight_iss.static_uop}: shared by retirements, and the
+    wrong-path decode. *)
+
 type session
 (** An in-progress execution, mirroring {!Straight_iss}'s session shape
     so the sampling machinery drives both ISSes identically. *)
@@ -29,6 +34,10 @@ val run_session : ?until:int -> session -> unit
     [until]. *)
 
 val finish : session -> Trace.run
+
+val source : session -> Trace.source
+(** The session as a {!Trace.source}, advanced on demand (the streamed
+    ISS → engine coupling). *)
 
 val session_memory : session -> Memory.t
 

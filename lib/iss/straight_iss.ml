@@ -48,8 +48,59 @@ let decode_text (image : Image.t) : Isa.resolved array =
            (image.Image.text_base + (4 * i)))
     image.Image.text
 
+(* The statically known uop of the instruction [insn] at [pc]: a
+   conditional branch resolved as [taken], an indirect jump's target
+   unknown (-1), no memory address.  It is also the wrong-path decode. *)
+let static_uop ~pc ~taken (insn : Isa.resolved) : Trace.uop =
+  let fu =
+    match Isa.kind insn with
+    | Isa.Kmul -> Trace.FU_mul
+    | Isa.Kdiv -> Trace.FU_div
+    | Isa.Kload -> Trace.FU_load
+    | Isa.Kstore -> Trace.FU_store
+    | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
+    | Isa.Kalu | Isa.Krmov | Isa.Knop | Isa.Khalt -> Trace.FU_alu
+  in
+  let ctrl =
+    match insn with
+    | Isa.Bez (_, off) | Isa.Bnz (_, off) ->
+      Trace.Cond { taken; target = pc + (4 * off) }
+    | Isa.J off ->
+      Trace.Uncond { target = pc + (4 * off); is_call = false; is_ret = false }
+    | Isa.Jal off ->
+      Trace.Uncond { target = pc + (4 * off); is_call = true; is_ret = false }
+    | Isa.Jr _ -> Trace.Uncond { target = -1; is_call = false; is_ret = true }
+    | _ -> Trace.Not_ctrl
+  in
+  { Trace.pc;
+    fu;
+    srcs_dist = Array.of_list (List.filter (fun d -> d > 0) (Isa.sources insn));
+    srcs_reg = [||];
+    dest_reg = 0;
+    has_dest = true;
+    is_rmov = (match insn with Isa.Rmov _ -> true | _ -> false);
+    is_nop = (match insn with Isa.Nop -> true | _ -> false);
+    is_spadd = (match insn with Isa.Spadd _ -> true | _ -> false);
+    mem_addr = 0;
+    ctrl }
+
+(* [static_uop] of every text slot as (fallthrough, taken) tables, the
+   latter for taken conditional branches; built next to the decoded text
+   only when retirements are [observed].  Uops are immutable, so
+   retirements share these; only loads, stores and JR allocate a copy
+   carrying their dynamic field. *)
+let static_uops (image : Image.t) (code : Isa.resolved array) ~observed =
+  let table taken =
+    Array.mapi
+      (fun i insn -> static_uop ~pc:(image.Image.text_base + (4 * i)) ~taken insn)
+      code
+  in
+  if observed then (table false, table true) else ([||], [||])
+
 type session = {
   code : Isa.resolved array;
+  fallthrough : Trace.uop array;  (* [static_uops] *)
+  taken : Trace.uop array;
   text_base : int;
   mem : Memory.t;
   regs : int32 array;
@@ -70,7 +121,14 @@ type session = {
 let start ?(config = default_config) ?on_retire (image : Image.t) : session =
   let mem = Memory.create () in
   Memory.load_image mem image;
-  { code = decode_text image;
+  let code = decode_text image in
+  let fallthrough, taken =
+    static_uops image code
+      ~observed:(config.collect_trace || on_retire <> None)
+  in
+  { code;
+    fallthrough;
+    taken;
     text_base = image.Image.text_base;
     mem;
     regs = Array.make ring 0l;
@@ -110,8 +168,15 @@ let checkpoint (s : session) : arch_state =
    property. *)
 let resume ?(config = default_config) ?on_retire (image : Image.t)
     (mem : Memory.t) (st : arch_state) : session =
+  let code = decode_text image in
+  let fallthrough, taken =
+    static_uops image code
+      ~observed:(config.collect_trace || on_retire <> None)
+  in
   let s =
-    { code = decode_text image;
+    { code;
+      fallthrough;
+      taken;
       text_base = image.Image.text_base;
       mem;
       regs = Array.make ring 0l;
@@ -131,6 +196,11 @@ let resume ?(config = default_config) ?on_retire (image : Image.t)
     st.a_window;
   s
 
+let read_src s d = if d = 0 then 0l else s.regs.((s.count - d) land ring_mask)
+
+let record_dist s d =
+  if s.config.collect_dist && d > 0 then s.dist_hist.(d) <- s.dist_hist.(d) + 1
+
 (* [step s] executes one instruction. *)
 let step (s : session) : unit =
   if s.count >= s.config.max_insns then
@@ -148,89 +218,62 @@ let step (s : session) : unit =
   let next = ref (here + 4) in
   let result = ref 0l in
   let mem_addr = ref 0 in
-  let ctrl = ref Trace.Not_ctrl in
-  let read_src d = if d = 0 then 0l else s.regs.((s.count - d) land ring_mask) in
-  let record_dist d =
-    if s.config.collect_dist && d > 0 then
-      s.dist_hist.(d) <- s.dist_hist.(d) + 1
-  in
+  let taken = ref false in
+  let jr_target = ref 0 in
   (match insn with
    | Isa.Alu (op, a, b) ->
-     record_dist a; record_dist b;
-     result := Isa.eval_alu op (read_src a) (read_src b)
+     record_dist s a; record_dist s b;
+     result := Isa.eval_alu op (read_src s a) (read_src s b)
    | Isa.Alui (op, a, i) ->
-     record_dist a;
-     result := Isa.eval_alu (Isa.alu_of_alui op) (read_src a) i
+     record_dist s a;
+     result := Isa.eval_alu (Isa.alu_of_alui op) (read_src s a) i
    | Isa.Lui i -> result := Int32.shift_left i 12
-   | Isa.Rmov a -> record_dist a; result := read_src a
+   | Isa.Rmov a -> record_dist s a; result := read_src s a
    | Isa.Nop -> result := 0l
    | Isa.Ld (b, off) ->
-     record_dist b;
-     let addr = Int32.to_int (read_src b) + off in
+     record_dist s b;
+     let addr = Int32.to_int (read_src s b) + off in
      mem_addr := addr land 0xFFFFFFFF;
      result := Memory.read s.mem !mem_addr
    | Isa.St (v, b, off) ->
-     record_dist v; record_dist b;
-     let addr = Int32.to_int (read_src b) + off in
+     record_dist s v; record_dist s b;
+     let addr = Int32.to_int (read_src s b) + off in
      mem_addr := addr land 0xFFFFFFFF;
-     let value = read_src v in
+     let value = read_src s v in
      Memory.write s.mem !mem_addr value;
      (* The paper: "store value is returned in the current specification" *)
      result := value
    | Isa.Bez (a, off) ->
-     record_dist a;
-     let taken = read_src a = 0l in
-     let target = here + (4 * off) in
-     if taken then next := target;
-     ctrl := Trace.Cond { taken; target }
+     record_dist s a;
+     taken := read_src s a = 0l;
+     if !taken then next := here + (4 * off)
    | Isa.Bnz (a, off) ->
-     record_dist a;
-     let taken = read_src a <> 0l in
-     let target = here + (4 * off) in
-     if taken then next := target;
-     ctrl := Trace.Cond { taken; target }
-   | Isa.J off ->
-     let target = here + (4 * off) in
-     next := target;
-     ctrl := Trace.Uncond { target; is_call = false; is_ret = false }
+     record_dist s a;
+     taken := read_src s a <> 0l;
+     if !taken then next := here + (4 * off)
+   | Isa.J off -> next := here + (4 * off)
    | Isa.Jal off ->
-     let target = here + (4 * off) in
      result := Int32.of_int (here + 4);
-     next := target;
-     ctrl := Trace.Uncond { target; is_call = true; is_ret = false }
+     next := here + (4 * off)
    | Isa.Jr a ->
-     record_dist a;
-     let target = Int32.to_int (read_src a) land 0xFFFFFFFF in
-     next := target;
-     result := Int32.of_int (here + 4);
-     ctrl := Trace.Uncond { target; is_call = false; is_ret = true }
+     record_dist s a;
+     jr_target := Int32.to_int (read_src s a) land 0xFFFFFFFF;
+     next := !jr_target;
+     result := Int32.of_int (here + 4)
    | Isa.Spadd i ->
      s.sp <- Int32.add s.sp (Int32.of_int i);
      result := s.sp
    | Isa.Halt -> s.halted <- true);
   s.regs.(s.count land ring_mask) <- !result;
   if s.config.collect_trace || s.on_retire <> None then begin
-    let fu =
-      match Isa.kind insn with
-      | Isa.Kmul -> Trace.FU_mul
-      | Isa.Kdiv -> Trace.FU_div
-      | Isa.Kload -> Trace.FU_load
-      | Isa.Kstore -> Trace.FU_store
-      | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
-      | Isa.Kalu | Isa.Krmov | Isa.Knop | Isa.Khalt -> Trace.FU_alu
-    in
     let u =
-      { Trace.pc = here;
-        fu;
-        srcs_dist = Array.of_list (List.filter (fun d -> d > 0) (Isa.sources insn));
-        srcs_reg = [||];
-        dest_reg = 0;
-        has_dest = true;
-        is_rmov = (match insn with Isa.Rmov _ -> true | _ -> false);
-        is_nop = (match insn with Isa.Nop -> true | _ -> false);
-        is_spadd = (match insn with Isa.Spadd _ -> true | _ -> false);
-        mem_addr = !mem_addr;
-        ctrl = !ctrl }
+      match insn with
+      | Isa.Ld _ | Isa.St _ -> { s.fallthrough.(idx) with Trace.mem_addr = !mem_addr }
+      | Isa.Jr _ ->
+        { s.fallthrough.(idx) with
+          Trace.ctrl =
+            Trace.Uncond { target = !jr_target; is_call = false; is_ret = true } }
+      | _ -> if !taken then s.taken.(idx) else s.fallthrough.(idx)
     in
     if s.config.collect_trace then s.uops <- u :: s.uops;
     match s.on_retire with Some f -> f s.count u | None -> ()
@@ -246,6 +289,13 @@ let run_session ?(until = max_int) (s : session) : unit =
   done
 
 let session_memory (s : session) : Memory.t = s.mem
+
+let source (s : session) : Trace.source =
+  { Trace.advance = (fun n -> run_session ~until:n s);
+    is_halted = (fun () -> s.halted);
+    count = (fun () -> s.count);
+    console = (fun () -> Memory.output s.mem);
+    histogram = s.dist_hist }
 
 let finish (s : session) : Trace.run =
   { Trace.output = Memory.output s.mem;

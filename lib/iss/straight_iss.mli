@@ -21,6 +21,12 @@ type config = {
 
 val default_config : config
 
+val static_uop : pc:int -> taken:bool -> Straight_isa.Isa.resolved -> Trace.uop
+(** The statically known uop of an instruction at [pc]: a conditional
+    branch resolved as [taken], an indirect jump's target [-1], no
+    memory address.  Retirements share these (precomputed per text
+    slot); the wrong-path decoder uses them as they are. *)
+
 type session
 (** An in-progress execution. *)
 
@@ -29,9 +35,9 @@ val start :
   Assembler.Image.t -> session
 (** Load the image; SP at the stack top, PC at the entry point.
     [on_retire], when given, is fed [(index, uop)] at every retirement —
-    independently of [collect_trace] — so functional warming and the
-    interval sampler can observe a full-speed run without accumulating
-    the whole trace in memory. *)
+    independently of [collect_trace] — so the streamed engine,
+    functional warming and the interval sampler can observe a full-speed
+    run without accumulating the whole trace in memory. *)
 
 val step : session -> unit
 (** Execute one instruction.
@@ -44,6 +50,10 @@ val run_session : ?until:int -> session -> unit
 (** Execute until HALT, or until the retired count reaches [until]. *)
 
 val finish : session -> Trace.run
+
+val source : session -> Trace.source
+(** The session as a {!Trace.source}, advanced on demand (the streamed
+    ISS → engine coupling). *)
 
 val session_memory : session -> Memory.t
 (** The session's (shared, mutable) memory — inspect after HALT for

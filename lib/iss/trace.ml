@@ -45,48 +45,90 @@ let kind_label u =
   | FU_mul | FU_div -> "ALU"
   | FU_alu -> if u.is_rmov then "RMOV" else if u.is_nop then "NOP" else "ALU"
 
-(* Canonical digest of a uop trace, used by the snapshot machinery to
+(* Canonical digest of a uop stream, used by the snapshot machinery to
    prove that a regenerated trace matches the one a checkpoint was taken
    against.  Every field participates, so any behavioural change to the
-   ISS or the compilers changes the digest. *)
-let digest (trace : uop array) : string =
-  let b = Buffer.create (64 * Array.length trace) in
-  let add_int n = Buffer.add_string b (string_of_int n); Buffer.add_char b ',' in
-  let add_bool v = Buffer.add_char b (if v then '1' else '0') in
-  let fu_code = function
-    | FU_alu -> 0 | FU_mul -> 1 | FU_div -> 2 | FU_branch -> 3
-    | FU_load -> 4 | FU_store -> 5
-  in
-  Array.iter
-    (fun u ->
-       add_int u.pc;
-       add_int (fu_code u.fu);
-       Array.iter add_int u.srcs_dist;
-       Buffer.add_char b ';';
-       Array.iter add_int u.srcs_reg;
-       Buffer.add_char b ';';
-       add_int u.dest_reg;
-       add_bool u.has_dest;
-       add_bool u.is_rmov;
-       add_bool u.is_nop;
-       add_bool u.is_spadd;
-       add_int u.mem_addr;
-       (match u.ctrl with
-        | Not_ctrl -> Buffer.add_char b 'n'
-        | Cond { taken; target } ->
-          Buffer.add_char b 'c'; add_bool taken; add_int target
-        | Uncond { target; is_call; is_ret } ->
-          Buffer.add_char b 'u'; add_int target; add_bool is_call;
-          add_bool is_ret);
-       Buffer.add_char b '\n')
-    trace;
-  Digest.to_hex (Digest.string (Buffer.contents b))
+   ISS or the compilers changes the digest.  Fields are serialized as
+   zigzag varints (self-delimiting; arrays length-prefixed), without
+   allocating, and the digest is chained over blocks of [block] uops, so
+   a long stream is digested in constant memory. *)
+let block = 4096
 
-(* A completed program run. *)
+type digester = {
+  buf : Buffer.t;              (* serialization of the pending block *)
+  mutable pending : int;       (* uops in [buf] *)
+  mutable chain : string;      (* raw digest of the completed blocks *)
+}
+
+let digester () = { buf = Buffer.create 65536; pending = 0; chain = "" }
+
+let rec add_varint b z =
+  if z < 0x80 then Buffer.add_char b (Char.unsafe_chr z)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (z land 0x7f lor 0x80));
+    add_varint b (z lsr 7)
+  end
+
+let add_int b n = add_varint b ((n lsl 1) lxor (n asr 62))
+let add_bool b v = Buffer.add_char b (if v then '1' else '0')
+
+let add_ints b a =
+  add_int b (Array.length a);
+  for i = 0 to Array.length a - 1 do add_int b a.(i) done
+
+let fu_code = function
+  | FU_alu -> 0 | FU_mul -> 1 | FU_div -> 2 | FU_branch -> 3
+  | FU_load -> 4 | FU_store -> 5
+
+let digest_add d u =
+  let b = d.buf in
+  add_int b u.pc;
+  add_int b (fu_code u.fu);
+  add_ints b u.srcs_dist;
+  add_ints b u.srcs_reg;
+  add_int b u.dest_reg;
+  add_bool b u.has_dest;
+  add_bool b u.is_rmov;
+  add_bool b u.is_nop;
+  add_bool b u.is_spadd;
+  add_int b u.mem_addr;
+  (match u.ctrl with
+   | Not_ctrl -> Buffer.add_char b 'n'
+   | Cond { taken; target } ->
+     Buffer.add_char b 'c'; add_bool b taken; add_int b target
+   | Uncond { target; is_call; is_ret } ->
+     Buffer.add_char b 'u'; add_int b target; add_bool b is_call;
+     add_bool b is_ret);
+  d.pending <- d.pending + 1;
+  if d.pending = block then begin
+    d.chain <- Digest.string (d.chain ^ Buffer.contents b);
+    Buffer.clear b;
+    d.pending <- 0
+  end
+
+let digest_value d = Digest.to_hex (Digest.string (d.chain ^ Buffer.contents d.buf))
+
+let digest (trace : uop array) : string =
+  let d = digester () in
+  Array.iter (digest_add d) trace;
+  digest_value d
+
+(* A program run.  A streamed run's record is filled in as the ISS
+   advances: [retired] counts the retirements so far and [output] is
+   final once the stream is exhausted. *)
 type run = {
-  output : string;             (* MMIO console output *)
-  retired : int;               (* dynamic instruction count (HALT included) *)
+  mutable output : string;     (* MMIO console output *)
+  mutable retired : int;       (* dynamic instruction count (HALT included) *)
   trace : uop array;           (* empty unless tracing was requested *)
   dist_histogram : int array;  (* source-distance counts, index = distance;
                                   only filled for STRAIGHT runs *)
+}
+
+(* A live functional run of either ISA, advanced on demand. *)
+type source = {
+  advance : int -> unit;
+  is_halted : unit -> bool;
+  count : unit -> int;
+  console : unit -> string;
+  histogram : int array;
 }

@@ -43,16 +43,43 @@ val kind_label : uop -> string
     ["RMOV"], or ["NOP"]. *)
 
 val digest : uop array -> string
-(** Canonical MD5 hex digest over every field of every uop.  The
-    snapshot machinery regenerates the trace from the workload source on
-    restore and uses this to prove it matches the one the checkpoint was
-    taken against. *)
+(** Canonical MD5 hex digest over every field of every uop (chained over
+    blocks of 4096): the {!digester} fed with the whole array.  The snapshot and sampling
+    machinery regenerate a trace from the workload source and use this
+    to prove it matches the one a checkpoint was taken against. *)
 
-(** A completed program run. *)
+type digester
+(** An incremental {!digest}: chained over fixed-size blocks of uops, so
+    it digests an unbounded stream in constant memory. *)
+
+val digester : unit -> digester
+val digest_add : digester -> uop -> unit
+
+val digest_value : digester -> string
+(** The digest of every uop added so far ({!digest} of that prefix);
+    adding more afterwards is allowed. *)
+
+(** A program run.  The record of a streamed run is filled in as the
+    ISS advances: [retired] counts the retirements so far, [output] is
+    final once the stream is exhausted. *)
 type run = {
-  output : string;             (** MMIO console output *)
-  retired : int;               (** dynamic instruction count *)
+  mutable output : string;     (** MMIO console output *)
+  mutable retired : int;       (** dynamic instruction count *)
   trace : uop array;           (** empty unless tracing was requested *)
   dist_histogram : int array;  (** source-distance counts by distance;
                                    filled for STRAIGHT runs only *)
+}
+
+(** A live functional run of either ISA, advanced on demand: the ISS
+    side of a streamed simulation.  Retirements reach the [on_retire]
+    observer the ISS session was started with. *)
+type source = {
+  advance : int -> unit;
+      (** execute until HALT or until [n] instructions have retired *)
+  is_halted : unit -> bool;
+  count : unit -> int;          (** instructions retired so far *)
+  console : unit -> string;     (** console output so far *)
+  histogram : int array;
+      (** live source-distance counts; filled only when the STRAIGHT ISS
+          collects them, empty for RV32IM *)
 }

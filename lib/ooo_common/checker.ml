@@ -6,7 +6,7 @@
 module Trace = Iss.Trace
 
 type t = {
-  trace : Trace.uop array;
+  golden : Uop_stream.t;
   rename : Params.rename_model;
   max_dist : int option;
   phys_regs : int option;          (* RMT models only *)
@@ -16,14 +16,14 @@ type t = {
   mutable checked : int;
 }
 
-let create ?max_dist ~rename ~trace () =
+let create ?max_dist ~rename ~golden () =
   let phys_regs =
     match rename with
     | Params.Rmt { phys_regs } | Params.Rmt_checkpoint { phys_regs; _ } ->
       Some phys_regs
     | Params.Rp -> None
   in
-  { trace; rename;
+  { golden; rename;
     max_dist = (match rename with Params.Rp -> max_dist | _ -> None);
     phys_regs;
     last_trace_idx = -1;
@@ -70,11 +70,11 @@ let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs uop =
       fail "program-order"
         "committed trace index %d, expected %d" trace_idx
         (t.last_trace_idx + 1);
-    if trace_idx < 0 || trace_idx >= Array.length t.trace then
+    if trace_idx < 0 || not (Uop_stream.available t.golden trace_idx) then
       fail "trace-bounds" "trace index %d outside [0, %d)" trace_idx
-        (Array.length t.trace);
+        (Uop_stream.produced t.golden);
     (* golden lockstep: the retired uop is the golden trace entry *)
-    let g = t.trace.(trace_idx) in
+    let g = Uop_stream.get t.golden trace_idx in
     if uop.Trace.pc <> g.Trace.pc then
       fail "pc-lockstep" "retired pc 0x%x, golden model has 0x%x"
         uop.Trace.pc g.Trace.pc;
@@ -125,11 +125,15 @@ let on_commit t ~cycle ~seq ~trace_idx ~wrong_path ~free_regs uop =
   t.checked <- t.checked + 1
 
 let on_finish t ~cycles ~committed ~free_regs =
-  let n = Array.length t.trace in
+  let n = Uop_stream.produced t.golden in
   let fail invariant fmt =
     diverge t ~invariant ~cycle:cycles ~seq:t.last_seq
       ~trace_idx:t.last_trace_idx fmt
   in
+  if not (Uop_stream.complete t.golden) then
+    fail "exactly-once"
+      "committed %d instructions, the trace has more (%d produced so far)"
+      committed n;
   if committed <> n then
     fail "exactly-once" "committed %d instructions, trace has %d" committed n;
   if t.last_trace_idx <> n - 1 then
@@ -145,7 +149,7 @@ let on_finish t ~cycles ~committed ~free_regs =
 
 let commits_checked t = t.checked
 
-(* Checkpointing: the trace and configuration are rebuilt on restore;
+(* Checkpointing: the stream and configuration are rebuilt on restore;
    only the lockstep cursor travels. *)
 let save b t =
   Bin.w_int b t.last_trace_idx;

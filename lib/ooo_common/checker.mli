@@ -28,11 +28,13 @@ type t
 val create :
   ?max_dist:int ->
   rename:Params.rename_model ->
-  trace:Iss.Trace.uop array ->
+  golden:Uop_stream.t ->
   unit -> t
-(** [max_dist] bounds STRAIGHT source distances (default
-    {!Straight_isa.Isa.max_dist} via the pipelines); ignored for RMT
-    models. *)
+(** [golden] is the ISS trace the commits are checked against — in a
+    session, the very stream the engine pulls from, read at each commit
+    before the engine releases the index.  [max_dist] bounds STRAIGHT
+    source distances (default {!Straight_isa.Isa.max_dist} via the
+    pipelines); ignored for RMT models. *)
 
 val on_commit :
   t ->
@@ -45,8 +47,8 @@ val on_commit :
     @raise Diag.Error on any invariant violation. *)
 
 val on_finish : t -> cycles:int -> committed:int -> free_regs:int -> unit
-(** End-of-run checks: every trace entry committed exactly once and the
-    free list is whole again.
+(** End-of-run checks: the golden stream is complete, every entry of it
+    committed exactly once, and the free list is whole again.
     @raise Diag.Error on violation. *)
 
 val commits_checked : t -> int
@@ -54,9 +56,9 @@ val commits_checked : t -> int
 
 val save : Buffer.t -> t -> unit
 (** Serialize the lockstep cursor (last trace index / seq / cycle and
-    the commit count).  The trace and configuration are rebuilt from the
-    workload on restore. *)
+    the commit count).  The stream and configuration are rebuilt from
+    the workload on restore. *)
 
 val load : Bin.reader -> t -> unit
 (** Inverse of {!save} into a checker [create]d over the regenerated
-    trace.  @raise Bin.Corrupt on malformed input. *)
+    stream.  @raise Bin.Corrupt on malformed input. *)

@@ -59,17 +59,14 @@ let fresh_activity () =
 type dyn = {
   seq : int;
   uop : Trace.uop;
-  wrong_path : bool;
   trace_idx : int;                  (* -1 on the wrong path *)
   fetched_at : int;
   mutable producers : int list;     (* producer seq numbers *)
-  mutable dispatched : bool;
   mutable dispatched_at : int;
   mutable issued : bool;
   mutable ready_at : int;           (* cycle the result is available *)
   mutable replay_bump : int;        (* extra wakeup delay for consumers *)
-  mutable mispredicted : bool;
-  mutable resume_idx : int;         (* trace index to resume after squash *)
+  mutable mispredicted : bool;      (* refetch resumes at trace_idx + 1 *)
   mutable addr_known : bool;        (* stores: address resolved *)
   mutable executed_load : bool;
   mutable recovery_at : int;        (* pending recovery event; -1 = none *)
@@ -82,6 +79,8 @@ type dyn = {
    producer's availability cycle, or when the producer leaves the window
    (commit — the value is then readable from the register file). *)
 and edge = { consumer : dyn; mutable fired : bool }
+
+let wrong_path d = d.trace_idx < 0
 
 type stats = {
   cycles : int;
@@ -173,8 +172,7 @@ let next_pow2 n =
 
 type t = {
   p : Params.t;
-  trace : Trace.uop array;
-  n_trace : int;
+  stream : Uop_stream.t;            (* the correct path, pulled at fetch *)
   decode_static : int -> Trace.uop option;
   checker : Checker.t option;
   hier : Cache.hierarchy;
@@ -190,7 +188,10 @@ type t = {
   mutable win : dyn array;
   mutable win_mask : int;
   mutable next_seq : int;
-  trace_seq : int array;
+  (* seq of the latest dispatch of each correct-path trace index in
+     [committed, dispatch head), keyed by index land (length - 1): the
+     RP operand lookup.  Older producers are committed. *)
+  mutable trace_seq : int array;
   (* pipeline structures, all seq-sorted *)
   frontend_q : Ring.t;
   rob : Ring.t;
@@ -232,7 +233,6 @@ type t = {
   lc_idx : int array;
   lc_pc : int array;
   mutable lc_n : int;
-  max_cycles : int;
 }
 
 let watchdog_limit = 20_000
@@ -250,11 +250,10 @@ let mix_slot (u : Trace.uop) =
 
 let mix_labels = [| "LD"; "ST"; "Jump+Branch"; "ALU"; "RMOV"; "NOP" |]
 
-let create (p : Params.t) ~(trace : Trace.uop array)
+let create (p : Params.t) ~(stream : Uop_stream.t)
     ~(decode_static : int -> Trace.uop option)
     ?(checker : Checker.t option) ?(warm : Warm.t option) () : t =
-  let n_trace = Array.length trace in
-  if n_trace = 0 then
+  if not (Uop_stream.available stream 0) then
     Diag.error Diag.Config_error "empty trace: nothing to simulate";
   let dummy_uop =
     { Trace.pc = -1; fu = Trace.FU_alu; srcs_dist = [||]; srcs_reg = [||];
@@ -262,10 +261,10 @@ let create (p : Params.t) ~(trace : Trace.uop array)
       is_spadd = false; mem_addr = 0; ctrl = Trace.Not_ctrl }
   in
   let dummy =
-    { seq = -1; uop = dummy_uop; wrong_path = false; trace_idx = -1;
-      fetched_at = 0; producers = []; dispatched = false; dispatched_at = 0;
+    { seq = -1; uop = dummy_uop; trace_idx = -1;
+      fetched_at = 0; producers = []; dispatched_at = 0;
       issued = false; ready_at = 0; replay_bump = 0; mispredicted = false;
-      resume_idx = -1; addr_known = false; executed_load = false;
+      addr_known = false; executed_load = false;
       recovery_at = -1; ras_snapshot = 0; n_unready = 0; waiters = [] }
   in
   (* the wheel spans the worst-case latency (full memory hierarchy +
@@ -296,7 +295,7 @@ let create (p : Params.t) ~(trace : Trace.uop array)
       Cache.reset_stats w.Warm.hier;
       (w.Warm.hier, w.Warm.pred, w.Warm.ras)
   in
-  { p; trace; n_trace; decode_static; checker;
+  { p; stream; decode_static; checker;
     hier; pred; ras;
     memdep = Memdep.create ();
     inj = Inject.make p.inject;
@@ -305,7 +304,7 @@ let create (p : Params.t) ~(trace : Trace.uop array)
     win = Array.make 1024 dummy;
     win_mask = 1023;
     next_seq = 0;
-    trace_seq = Array.make n_trace (-1);
+    trace_seq = Array.make 256 (-1);
     frontend_q = Ring.create dummy;
     rob = Ring.create dummy;
     ldq = Ring.create dummy;
@@ -349,8 +348,11 @@ let create (p : Params.t) ~(trace : Trace.uop array)
     last_commit_cycle = 0;
     lc_idx = Array.make 8 0;
     lc_pc = Array.make 8 0;
-    lc_n = 0;
-    max_cycles = 40 * n_trace + 200_000 }
+    lc_n = 0 }
+
+(* The total-cycle watchdog budget, on the uops produced so far (the
+   stream's total is unknown until the ISS finishes). *)
+let max_cycles t = 40 * Uop_stream.produced t.stream + 200_000
 
 (* ---------- in-flight window ---------- *)
 
@@ -430,19 +432,17 @@ let register_producers t d =
        end)
     d.producers
 
-let mk_dyn t ~uop ~wrong_path ~trace_idx =
+let mk_dyn t ~uop ~trace_idx =
   let d =
     { seq = t.next_seq;
-      uop; wrong_path; trace_idx;
+      uop; trace_idx;
       fetched_at = t.now;
       producers = [];
-      dispatched = false;
       dispatched_at = 0;
       issued = false;
       ready_at = max_int / 2;
       replay_bump = 0;
       mispredicted = false;
-      resume_idx = -1;
       addr_known = false;
       executed_load = false;
       recovery_at = -1;
@@ -572,7 +572,7 @@ let commit t =
          registers must return to the free list *)
       (match t.p.Params.rename with
        | (Params.Rmt _ | Params.Rmt_checkpoint _)
-         when d.wrong_path && d.uop.Trace.has_dest
+         when wrong_path d && d.uop.Trace.has_dest
               && d.uop.Trace.dest_reg <> 0 ->
          t.free_regs <- t.free_regs + 1
        | _ -> ());
@@ -581,7 +581,7 @@ let commit t =
          if t.inflight_ctrl > 0 then t.inflight_ctrl <- t.inflight_ctrl - 1
        | Trace.Not_ctrl -> ());
       t.last_commit_cycle <- t.now;
-      if not d.wrong_path then begin
+      if not (wrong_path d) then begin
         t.lc_idx.(t.lc_n land 7) <- d.trace_idx;
         t.lc_pc.(t.lc_n land 7) <- d.uop.Trace.pc;
         t.lc_n <- t.lc_n + 1;
@@ -599,17 +599,16 @@ let commit t =
            t.free_regs <- t.free_regs + 1;
            t.act.freelist_ops <- t.act.freelist_ops + 1
          | _ -> ());
-        if d.uop.Trace.fu = Trace.FU_alu && d.uop.Trace.is_nop
-           && d.trace_idx = t.n_trace - 1
-        then t.done_ <- true;
-        if d.trace_idx = t.n_trace - 1 then t.done_ <- true
+        if Uop_stream.is_last t.stream d.trace_idx then t.done_ <- true
       end;
       (match t.checker with
        | Some ck ->
          Checker.on_commit ck ~cycle:t.now ~seq:d.seq
-           ~trace_idx:d.trace_idx ~wrong_path:d.wrong_path
+           ~trace_idx:d.trace_idx ~wrong_path:(wrong_path d)
            ~free_regs:t.free_regs d.uop
-       | None -> ())
+       | None -> ());
+      (* nothing at or below a committed index is asked for again *)
+      if not (wrong_path d) then Uop_stream.release t.stream (d.trace_idx + 1)
     end
     else continue_ := false
   done
@@ -644,7 +643,7 @@ let issue t =
           let lsq_hold =
             match d.uop.Trace.fu with
             | Trace.FU_load
-              when (not d.wrong_path) && d.uop.Trace.mem_addr <> 0 ->
+              when (not (wrong_path d)) && d.uop.Trace.mem_addr <> 0 ->
               let older_unknown = ref false in
               Ring.iter
                 (fun s ->
@@ -670,14 +669,15 @@ let issue t =
                t.act.alu_ops <- t.act.alu_ops + 1;
                d.ready_at <- t.now + 1;
                (* resolution happens one cycle later *)
-               if not d.wrong_path then begin
+               if not (wrong_path d) then begin
                  if d.mispredicted then begin
                    d.recovery_at <- t.now + p.Params.branch_resolve_latency;
                    t.recoveries <-
-                     (d.recovery_at, d.seq, d.resume_idx, false)
+                     (d.recovery_at, d.seq, d.trace_idx + 1, false)
                      :: t.recoveries
                  end
-                 else if d.trace_idx >= 0 && d.trace_idx < t.n_trace - 1
+                 else if d.trace_idx >= 0
+                         && (not (Uop_stream.is_last t.stream d.trace_idx))
                          && Inject.fire t.inj Inject.Spurious_recovery
                  then begin
                    (* fault: a correctly predicted branch resolves as
@@ -695,13 +695,13 @@ let issue t =
                d.addr_known <- true;
                (* memory-order violation check against younger,
                   already-executed loads at the same word *)
-               if (not d.wrong_path) && d.uop.Trace.mem_addr <> 0 then begin
+               if (not (wrong_path d)) && d.uop.Trace.mem_addr <> 0 then begin
                  let addr_w = d.uop.Trace.mem_addr lsr 2 in
                  let victim = ref t.dummy in
                  Ring.iter
                    (fun (l : dyn) ->
                       if l.seq > d.seq && l.executed_load
-                         && (not l.wrong_path)
+                         && (not (wrong_path l))
                          && l.uop.Trace.mem_addr lsr 2 = addr_w
                          && (!victim == t.dummy || l.seq < !victim.seq)
                       then victim := l)
@@ -717,7 +717,7 @@ let issue t =
                end
              | Trace.FU_load ->
                t.act.agu_ops <- t.act.agu_ops + 1;
-               if d.wrong_path || d.uop.Trace.mem_addr = 0 then
+               if wrong_path d || d.uop.Trace.mem_addr = 0 then
                  d.ready_at <- t.now + 1 + t.hier.Cache.l1d.Cache.hit_latency
                else begin
                  let addr = d.uop.Trace.mem_addr in
@@ -771,6 +771,21 @@ let issue t =
   end
 
 (* ---------- dispatch (rename) ---------- *)
+
+(* Record [d]'s seq under its trace index, first growing [trace_seq] to
+   span the in-flight correct-path indices [committed, d.trace_idx]. *)
+let note_dispatch t d =
+  let idx = d.trace_idx in
+  let cap = Array.length t.trace_seq in
+  if idx - t.committed >= cap then begin
+    let ncap = 2 * next_pow2 (idx - t.committed + 1) in
+    let nseq = Array.make ncap (-1) in
+    for j = t.committed to idx - 1 do
+      nseq.(j land (ncap - 1)) <- t.trace_seq.(j land (cap - 1))
+    done;
+    t.trace_seq <- nseq
+  end;
+  t.trace_seq.(idx land (Array.length t.trace_seq - 1)) <- d.seq
 
 let dispatch t =
   let p = t.p in
@@ -834,14 +849,15 @@ let dispatch t =
          let ps = ref [] in
          for k = Array.length srcs - 1 downto 0 do
            let dist = srcs.(k) in
-           if d.wrong_path then begin
+           if wrong_path d then begin
              let s = d.seq - dist in
              if win_mem t s then ps := s :: !ps
            end
            else begin
              let pidx = d.trace_idx - dist in
-             if pidx >= 0 then begin
-               let s = t.trace_seq.(pidx) in
+             if pidx >= t.committed then begin
+               let mask = Array.length t.trace_seq - 1 in
+               let s = t.trace_seq.(pidx land mask) in
                if s >= 0 && win_mem t s then ps := s :: !ps
              end
            end
@@ -850,8 +866,7 @@ let dispatch t =
          t.act.rp_ops <- t.act.rp_ops + Array.length srcs + 1;
          d.ras_snapshot <- Branch_pred.Ras.save t.ras);
       register_producers t d;
-      if not d.wrong_path then t.trace_seq.(d.trace_idx) <- d.seq;
-      d.dispatched <- true;
+      if not (wrong_path d) then note_dispatch t d;
       d.dispatched_at <- t.now;
       Ring.push_back t.rob d;
       t.act.rob_writes <- t.act.rob_writes + 1;
@@ -875,9 +890,9 @@ let fetch t =
       match t.mode with
       | Fetch_stalled -> continue_ := false
       | Fetch_correct idx ->
-        if idx >= t.n_trace then continue_ := false
+        if not (Uop_stream.available t.stream idx) then continue_ := false
         else begin
-          let uop = t.trace.(idx) in
+          let uop = Uop_stream.get t.stream idx in
           (* instruction cache: one probe per line per group *)
           let line = uop.Trace.pc lsr t.hier.Cache.l1i.Cache.line_shift in
           if line <> !line_touched then begin
@@ -894,7 +909,7 @@ let fetch t =
             end
           end;
           if !continue_ then begin
-            let d = mk_dyn t ~uop ~wrong_path:false ~trace_idx:idx in
+            let d = mk_dyn t ~uop ~trace_idx:idx in
             Ring.push_back t.frontend_q d;
             decr budget;
             (match uop.Trace.ctrl with
@@ -916,7 +931,6 @@ let fetch t =
                else begin
                  t.branch_misp <- t.branch_misp + 1;
                  d.mispredicted <- true;
-                 d.resume_idx <- idx + 1;
                  t.mode <-
                    Fetch_wrong (if predicted then target else uop.Trace.pc + 4);
                  continue_ := false
@@ -931,7 +945,6 @@ let fetch t =
                  else begin
                    t.ret_misp <- t.ret_misp + 1;
                    d.mispredicted <- true;
-                   d.resume_idx <- idx + 1;
                    t.mode <- Fetch_stalled
                  end
                end
@@ -953,7 +966,7 @@ let fetch t =
              end
            end;
            if !continue_ then begin
-             let d = mk_dyn t ~uop ~wrong_path:true ~trace_idx:(-1) in
+             let d = mk_dyn t ~uop ~trace_idx:(-1) in
              t.wrong_fetched <- t.wrong_fetched + 1;
              Ring.push_back t.frontend_q d;
              decr budget;
@@ -1021,7 +1034,9 @@ let diag_context t reason =
     [ ("reason", reason);
       ("cycle", i t.now);
       ("committed", i t.committed);
-      ("trace_length", i t.n_trace);
+      (* how far the ISS got: the total is known once it is complete *)
+      ("trace_produced", i (Uop_stream.produced t.stream));
+      ("trace_complete", string_of_bool (Uop_stream.complete t.stream));
       ("rob_occupancy", i (Ring.length t.rob));
       ("iq_occupancy", i t.iq_len);
       ("ldq_occupancy", i (Ring.length t.ldq));
@@ -1054,7 +1069,7 @@ let diag_context t reason =
         ("head_seq", i d.seq);
         ("head_pc", Printf.sprintf "0x%x" d.uop.Trace.pc);
         ("head_fu", fu_name d.uop.Trace.fu);
-        ("head_wrong_path", string_of_bool d.wrong_path);
+        ("head_wrong_path", string_of_bool (wrong_path d));
         ("head_trace_idx", i d.trace_idx);
         ("head_issued", string_of_bool d.issued);
         ("head_ready_at", i d.ready_at);
@@ -1084,15 +1099,16 @@ let diag_context t reason =
    boundary (before any state for the cycle is touched), so a caller
    catching the watchdog sees a consistent, checkpointable engine. *)
 let step t =
-  if t.now > t.max_cycles then
+  if t.now > max_cycles t then
     Diag.error ~context:(diag_context t "cycle-budget") Diag.Sim_deadlock
       "simulation did not converge: %d cycles elapsed, %d/%d committed"
-      t.now t.committed t.n_trace;
+      t.now t.committed (Uop_stream.produced t.stream);
   if t.now - t.last_commit_cycle > watchdog_limit then
     Diag.error ~context:(diag_context t "no-forward-progress") Diag.Sim_deadlock
       "pipeline deadlock: no commit for %d cycles (cycle %d, %d/%d \
        committed)"
-      (t.now - t.last_commit_cycle) t.now t.committed t.n_trace;
+      (t.now - t.last_commit_cycle) t.now t.committed
+      (Uop_stream.produced t.stream);
   drain_wheel t;
   (* process recovery events due this cycle, oldest faulting seq first *)
   if t.recoveries <> [] then begin
@@ -1159,17 +1175,17 @@ let finish t : stats =
       (match t.checker with Some ck -> Checker.commits_checked ck | None -> 0);
     cpi_stack = Stats.freeze t.cpi }
 
-(* [run p ~trace ~decode_static ?checker ()] simulates the whole trace
+(* [run p ~stream ~decode_static ?checker ()] simulates the whole stream
    and returns timing statistics.  [decode_static pc] supplies wrong-path
    instructions.  [checker] is the lockstep golden-model checker, fed at
    every commit.  Faults from [p.inject] are injected at fetch/issue
    opportunities; a deadlock or lack of forward progress trips the
    watchdog, which raises [Diag.Error Sim_deadlock] carrying a full
    machine-readable pipeline snapshot. *)
-let run (p : Params.t) ~(trace : Trace.uop array)
+let run (p : Params.t) ~(stream : Uop_stream.t)
     ~(decode_static : int -> Trace.uop option)
     ?(checker : Checker.t option) () : stats =
-  let t = create p ~trace ~decode_static ?checker () in
+  let t = create p ~stream ~decode_static ?checker () in
   while not t.done_ do step t done;
   finish t
 
@@ -1191,10 +1207,13 @@ let run (p : Params.t) ~(trace : Trace.uop array)
    - [trace_seq] entries for committed producers are stale in exactly
      the way a [-1] is (the [win_mem] guard fails either way), so the
      array is rebuilt sparsely from live dispatched correct-path dyns;
-   - correct-path uops are shared with [trace] and stored by index;
-     wrong-path uops are serialized inline. *)
+   - correct-path uops are shared with the stream and stored by index:
+     every live one lies in [committed, produced), the window the stream
+     retains, so restore replays the stream to [committed] without
+     keeping anything and refills it to [produced]; wrong-path uops are
+     serialized inline. *)
 
-let engine_version = 1
+let engine_version = 2
 
 (* The uop codec lives in Uop_io so the sampling checkpoints share it. *)
 let w_uop = Uop_io.write
@@ -1202,18 +1221,15 @@ let r_uop = Uop_io.read
 
 let w_dyn t b (d : dyn) =
   Bin.w_int b d.seq;
-  Bin.w_bool b d.wrong_path;
   Bin.w_int b d.trace_idx;
   if d.trace_idx < 0 then w_uop b d.uop;
   Bin.w_int b d.fetched_at;
   Bin.w_list b Bin.w_int d.producers;
-  Bin.w_bool b d.dispatched;
   Bin.w_int b d.dispatched_at;
   Bin.w_bool b d.issued;
   Bin.w_int b d.ready_at;
   Bin.w_int b d.replay_bump;
   Bin.w_bool b d.mispredicted;
-  Bin.w_int b d.resume_idx;
   Bin.w_bool b d.addr_known;
   Bin.w_bool b d.executed_load;
   Bin.w_int b d.recovery_at;
@@ -1230,41 +1246,39 @@ let w_dyn t b (d : dyn) =
    second pass once every live dyn is back in the window *)
 let r_dyn t r : dyn * int list =
   let seq = Bin.r_int r in
-  let wrong_path = Bin.r_bool r in
   let trace_idx = Bin.r_int r in
   let uop =
     if trace_idx < 0 then r_uop r
-    else if trace_idx < t.n_trace then t.trace.(trace_idx)
+    else if trace_idx >= t.committed
+         && trace_idx < Uop_stream.produced t.stream
+    then Uop_stream.get t.stream trace_idx
     else
       raise
         (Bin.Corrupt
-           (Printf.sprintf "dyn trace index %d outside trace of %d" trace_idx
-              t.n_trace))
+           (Printf.sprintf "dyn trace index %d outside the window [%d, %d)"
+              trace_idx t.committed (Uop_stream.produced t.stream)))
   in
   let fetched_at = Bin.r_int r in
   let producers = Bin.r_list r Bin.r_int in
-  let dispatched = Bin.r_bool r in
   let dispatched_at = Bin.r_int r in
   let issued = Bin.r_bool r in
   let ready_at = Bin.r_int r in
   let replay_bump = Bin.r_int r in
   let mispredicted = Bin.r_bool r in
-  let resume_idx = Bin.r_int r in
   let addr_known = Bin.r_bool r in
   let executed_load = Bin.r_bool r in
   let recovery_at = Bin.r_int r in
   let ras_snapshot = Bin.r_int r in
   let n_unready = Bin.r_int r in
   let waiter_seqs = Bin.r_list r Bin.r_int in
-  ( { seq; uop; wrong_path; trace_idx; fetched_at; producers; dispatched;
-      dispatched_at; issued; ready_at; replay_bump; mispredicted; resume_idx;
-      addr_known; executed_load; recovery_at; ras_snapshot; n_unready;
+  ( { seq; uop; trace_idx; fetched_at; producers; dispatched_at; issued;
+      ready_at; replay_bump; mispredicted; addr_known; executed_load; recovery_at; ras_snapshot; n_unready;
       waiters = [] },
     waiter_seqs )
 
 let save b t =
   Bin.w_int b engine_version;
-  Bin.w_int b t.n_trace;
+  Bin.w_int b (Uop_stream.produced t.stream);
   (* scalar state *)
   Bin.w_int b t.next_seq;
   Bin.w_int b t.now;
@@ -1342,22 +1356,17 @@ let save b t =
    | None -> Bin.w_bool b false
    | Some ck -> Bin.w_bool b true; Checker.save b ck)
 
-let restore (p : Params.t) ~(trace : Trace.uop array)
+let restore (p : Params.t) ~(stream : Uop_stream.t)
     ~(decode_static : int -> Trace.uop option)
     ?(checker : Checker.t option) (r : Bin.reader) : t =
-  let t = create p ~trace ~decode_static ?checker () in
+  let t = create p ~stream ~decode_static ?checker () in
   let v = Bin.r_int r in
   if v <> engine_version then
     raise
       (Bin.Corrupt
          (Printf.sprintf "engine image version %d, this build reads %d" v
             engine_version));
-  let n = Bin.r_int r in
-  if n <> t.n_trace then
-    raise
-      (Bin.Corrupt
-         (Printf.sprintf "engine image covers a %d-uop trace, workload \
-                          regenerated %d uops" n t.n_trace));
+  let produced = Bin.r_int r in
   t.next_seq <- Bin.r_int r;
   t.now <- Bin.r_int r;
   t.done_ <- Bin.r_bool r;
@@ -1376,6 +1385,21 @@ let restore (p : Params.t) ~(trace : Trace.uop array)
   t.last_commit_cycle <- Bin.r_int r;
   t.lc_n <- Bin.r_int r;
   t.free_regs <- Bin.r_int r;
+  (* replay the committed prefix without keeping it, then refill the
+     in-flight window up to the head the image was saved at *)
+  if t.committed < 0 || produced < t.committed then
+    raise
+      (Bin.Corrupt
+         (Printf.sprintf "engine image: %d committed of %d produced"
+            t.committed produced));
+  Uop_stream.skip_to stream t.committed;
+  Uop_stream.fill_to stream produced;
+  if Uop_stream.produced stream <> produced then
+    raise
+      (Bin.Corrupt
+         (Printf.sprintf "engine image covers a %d-uop prefix, workload \
+                          regenerated %d uops" produced
+            (Uop_stream.produced stream)));
   Bin.r_int_array_into r t.lc_idx;
   Bin.r_int_array_into r t.lc_pc;
   Bin.r_int_array_into r t.mix_counts;
@@ -1449,9 +1473,7 @@ let restore (p : Params.t) ~(trace : Trace.uop array)
         (c, s, ri, inc));
   (* trace_seq: sparse rebuild from live dispatched correct-path dyns;
      stale entries behave exactly like -1 behind the win_mem guard *)
-  Ring.iter
-    (fun d -> if not d.wrong_path then t.trace_seq.(d.trace_idx) <- d.seq)
-    t.rob;
+  Ring.iter (fun d -> if not (wrong_path d) then note_dispatch t d) t.rob;
   t.pred.Branch_pred.load r;
   Branch_pred.Ras.load_full r t.ras;
   Memdep.load r t.memdep;

@@ -2,7 +2,9 @@
     superscalar pipelines (Section V-A: "both simulators share common
     codes for the most part").
 
-    Trace-driven on the correct path; fetches wrong-path instructions from
+    Trace-driven on the correct path — the uops are pulled from a
+    {!Uop_stream} as fetch advances, so only the in-flight window of the
+    trace is ever held; fetches wrong-path instructions from
     the static image after a misprediction so that squash cost (walk
     length, resource pollution) is modeled.  The two cores differ exactly
     where the paper says they do: operand determination (RMT + free list
@@ -54,7 +56,7 @@ type t
 
 val create :
   Params.t ->
-  trace:Iss.Trace.uop array ->
+  stream:Uop_stream.t ->
   decode_static:(int -> Iss.Trace.uop option) ->
   ?checker:Checker.t ->
   ?warm:Warm.t ->
@@ -63,23 +65,27 @@ val create :
     its functionally warmed caches, branch predictor and RAS instead of
     cold ones (their access/miss counters are zeroed first so measured
     stats cover only the detailed region) — the fast-forward/sampling
-    handoff.  [trace] may be any contiguous slice of a program's
+    handoff.  [stream] may be any contiguous slice of a program's
     retirement stream: RP-relative producers that precede the slice are
-    treated as already committed, matching a mid-program start.
-    @raise Diag.Error with code [Config_error] on an empty trace. *)
+    treated as already committed, matching a mid-program start.  The
+    engine {!Uop_stream.release}s each index as it commits.
+    @raise Diag.Error with code [Config_error] on an empty stream. *)
 
 val step : t -> unit
 (** Simulate one cycle.  The watchdog runs first, at the cycle boundary,
     so a [Sim_deadlock] raise leaves the engine in a consistent,
     checkpointable state.
     @raise Diag.Error with code [Sim_deadlock] when the watchdog trips
-    (total cycle budget exceeded, or no commit for 20k cycles) — the
-    diagnostic context is a pipeline snapshot naming the stuck
-    instruction and all queue occupancies — and code
-    [Checker_divergence] from the checker. *)
+    (total cycle budget — 40 cycles per uop produced so far plus 200k —
+    exceeded, or no commit for 20k cycles) — the diagnostic context is
+    a pipeline snapshot naming the stuck instruction, all queue
+    occupancies, and how far the ISS got ([trace_produced],
+    [trace_complete]) — and code [Checker_divergence] from the
+    checker. *)
 
 val finished : t -> bool
-(** The last trace entry has committed; [step] is no longer meaningful. *)
+(** The last uop of the stream has committed; [step] is no longer
+    meaningful. *)
 
 val cycle : t -> int
 val committed_count : t -> int
@@ -95,18 +101,18 @@ val finish : t -> stats
 
 val run :
   Params.t ->
-  trace:Iss.Trace.uop array ->
+  stream:Uop_stream.t ->
   decode_static:(int -> Iss.Trace.uop option) ->
   ?checker:Checker.t ->
   unit -> stats
-(** [run p ~trace ~decode_static ?checker ()] simulates the whole
-    correct-path [trace] on model [p]; [decode_static pc] supplies
+(** [run p ~stream ~decode_static ?checker ()] simulates the whole
+    correct-path [stream] on model [p]; [decode_static pc] supplies
     wrong-path instructions from the program image ([None] stalls
     wrong-path fetch).  [checker], when present, is fed every commit and
     the end-of-run state (lockstep golden-model checking).  Faults from
     [p.inject] are injected at fetch and issue opportunities.
 
-    @raise Diag.Error with code [Config_error] on an empty trace, code
+    @raise Diag.Error with code [Config_error] on an empty stream, code
     [Sim_deadlock] when the watchdog trips (total cycle budget exceeded,
     or no commit for 20k cycles) — the diagnostic context is a pipeline
     snapshot naming the stuck instruction and all queue occupancies —
@@ -121,13 +127,16 @@ val save : Buffer.t -> t -> unit
 
 val restore :
   Params.t ->
-  trace:Iss.Trace.uop array ->
+  stream:Uop_stream.t ->
   decode_static:(int -> Iss.Trace.uop option) ->
   ?checker:Checker.t ->
   Bin.reader -> t
-(** Inverse of {!save}.  [p] and [trace] must be the ones the image was
-    saved under (the snapshot file layer enforces this; the engine layer
-    shape-checks trace length, wheel geometry, and internal references).
+(** Inverse of {!save}.  [p] and [stream] must be the ones the image was
+    saved under, with [stream] fresh at index 0: restore replays it to
+    the oldest in-flight index without retaining anything, then refills
+    the window to the head the image was saved at (the snapshot file
+    layer proves that prefix identical; the engine layer shape-checks
+    the head, wheel geometry, and internal references).
     A checkpoint taken with a lockstep checker must be restored with
     one, and vice versa.
     @raise Bin.Corrupt on any malformed or mismatched image. *)

@@ -10,15 +10,15 @@ type family = Rp_family | Rmt_family
 type target = {
   decode : Image.t -> int -> Trace.uop option;
   iss :
-    trace:bool -> max_insns:int ->
-    ?on_retire:(int -> Trace.uop -> unit) -> ?until:int ->
-    Image.t -> Trace.run;
+    dist:bool -> max_insns:int -> ?on_retire:(int -> Trace.uop -> unit) ->
+    Image.t -> Trace.source;
   family : family;
 }
 
 type t = {
   engine : Engine.t;
   run_info : Trace.run;
+  stream : Uop_stream.t;
 }
 
 type result = {
@@ -45,66 +45,96 @@ let check_model (tg : target) (p : Params.t) =
       Diag.Config_error "the target's code is %s, but model %s is a %s core"
       (family_label tg.family) p.Params.name (family_label core)
 
-(* The ISS trace doubles as the golden model: unless [check] is false, a
-   lockstep checker validates every commit against it. *)
-let checker ~check ?max_dist (p : Params.t) trace =
-  if check then
-    Some (Checker.create ?max_dist ~rename:p.Params.rename ~trace ())
+(* The ISS stream doubles as the golden model: unless [check] is false,
+   a lockstep checker validates every commit against it. *)
+let checker ~check ?max_dist (p : Params.t) golden =
+  if check then Some (Checker.create ?max_dist ~rename:p.Params.rename ~golden ())
   else None
 
-let create ~check ?max_dist ?warm tg p image trace =
-  Engine.create p ~trace ~decode_static:(tg.decode image)
-    ?checker:(checker ~check ?max_dist p trace) ?warm ()
+(* Wrong-path fetch decodes the same static instructions over and over
+   (hundreds of thousands of times while a mispredicted branch waits
+   behind a cache miss): decode every text slot once up front and share
+   the uops, which are immutable. *)
+let decode_static tg (image : Image.t) =
+  let base = image.Image.text_base in
+  let slots =
+    Array.init (Array.length image.Image.text) (fun i ->
+        tg.decode image (base + (4 * i)))
+  in
+  fun pc ->
+    let i = (pc - base) asr 2 in
+    if pc land 3 = 0 && i >= 0 && i < Array.length slots then slots.(i)
+    else tg.decode image pc
+
+let create ~check ?max_dist ?warm tg p image stream =
+  Engine.create p ~stream ~decode_static:(decode_static tg image)
+    ?checker:(checker ~check ?max_dist p stream) ?warm ()
 
 let engine ?(check = true) ?max_dist ?warm tg p image trace =
   check_model tg p;
-  create ~check ?max_dist ?warm tg p image trace
+  create ~check ?max_dist ?warm tg p image (Uop_stream.of_array trace)
 
-(* A region run fast-forwards functionally over the first [from]
-   retirements — warming caches/predictors along the way unless [warm] is
-   false — and keeps only the next [len] uops (to the end of the program
-   when [len] is omitted).  Operands whose producers precede the region
+(* The ISS as a uop stream.  The first [from] retirements are
+   fast-forwarded functionally — observed by [warm] when given — and the
+   stream then holds the retirements from [from] up to [stop], produced
+   as the engine pulls them.  Operands whose producers precede [from]
    resolve as already committed (RP) or read the architectural file
    (RMT), exactly as they would mid-flight with the window drained. *)
-let region tg ~max_insns ~from ?len ~warm p image =
-  let stop = match len with None -> max_int | Some l -> from + l in
-  let w = if warm then Some (Warm.create p) else None in
-  let buf = ref [] in
+let open_stream tg ~max_insns ?(from = 0) ?(stop = max_int) ?warm ~digest
+    ~dist image =
+  let stream = Uop_stream.create ~digest () in
   let on_retire idx u =
-    if idx < from then
-      (match w with Some w -> Warm.observe w u | None -> ())
-    else if idx < stop then buf := u :: !buf
+    if idx >= from then Uop_stream.push stream u
+    else match warm with Some w -> Warm.observe w u | None -> ()
   in
-  let r0 = tg.iss ~trace:false ~max_insns ~on_retire ~until:stop image in
-  let r = { r0 with Trace.trace = Array.of_list (List.rev !buf) } in
-  if Array.length r.Trace.trace = 0 then
+  let src = tg.iss ~dist ~max_insns ~on_retire image in
+  src.Trace.advance from;
+  let run_info =
+    { Trace.output = ""; retired = src.Trace.count (); trace = [||];
+      dist_histogram = src.Trace.histogram }
+  in
+  Uop_stream.attach ~stop stream run_info src;
+  (stream, run_info)
+
+(* A whole run collects the STRAIGHT distance histogram (Fig. 16); a
+   region does not, and warms over its fast-forwarded prefix unless
+   [warm] is false. *)
+let start ?(max_insns = default_max_insns) ?(check = true) ?max_dist ?from
+    ?len ?(warm = true) ?(digest = false) tg p image =
+  check_model tg p;
+  let whole = from = None && len = None in
+  let from = Option.value from ~default:0 in
+  let stop = match len with None -> max_int | Some l -> from + l in
+  let w = if warm && not whole then Some (Warm.create p) else None in
+  let stream, run_info =
+    open_stream tg ~max_insns ~from ~stop ?warm:w ~digest ~dist:whole image
+  in
+  if not (Uop_stream.available stream 0) then
     Diag.error Diag.Config_error
       "region start %d is past the end of the run (%d retired)" from
-      r.Trace.retired;
-  (r, w)
-
-let start ?(max_insns = default_max_insns) ?(check = true) ?max_dist ?from
-    ?len ?(warm = true) tg p image =
-  check_model tg p;
-  let run_info, w =
-    match from, len with
-    | None, None -> (tg.iss ~trace:true ~max_insns image, None)
-    | _ ->
-      region tg ~max_insns ~from:(Option.value from ~default:0) ?len ~warm p
-        image
-  in
-  { engine = create ~check ?max_dist ?warm:w tg p image run_info.Trace.trace;
-    run_info }
+      run_info.Trace.retired;
+  { engine = create ~check ?max_dist ?warm:w tg p image stream; run_info;
+    stream }
 
 let resume ?(max_insns = default_max_insns) ?(check = true) ?max_dist tg p
     image reader =
   check_model tg p;
-  let run_info = tg.iss ~trace:true ~max_insns image in
-  let trace = run_info.Trace.trace in
+  let stream, run_info =
+    open_stream tg ~max_insns ~digest:true ~dist:true image
+  in
   { engine =
-      Engine.restore p ~trace ~decode_static:(tg.decode image)
-        ?checker:(checker ~check ?max_dist p trace) reader;
-    run_info }
+      Engine.restore p ~stream ~decode_static:(decode_static tg image)
+        ?checker:(checker ~check ?max_dist p stream) reader;
+    run_info; stream }
+
+let trace ?(max_insns = default_max_insns) tg image =
+  let acc = ref [] in
+  let src =
+    tg.iss ~dist:false ~max_insns ~on_retire:(fun _ u -> acc := u :: !acc)
+      image
+  in
+  src.Trace.advance max_int;
+  Array.of_list (List.rev !acc)
 
 let finish (s : t) : result =
   { stats = Engine.finish s.engine;

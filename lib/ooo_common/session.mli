@@ -16,22 +16,23 @@ type target = {
   decode : Assembler.Image.t -> int -> Iss.Trace.uop option;
       (** static decode for wrong-path fetch *)
   iss :
-    trace:bool -> max_insns:int ->
-    ?on_retire:(int -> Iss.Trace.uop -> unit) -> ?until:int ->
-    Assembler.Image.t -> Iss.Trace.run;
-      (** run the ISS until it halts or has retired [until]
-          instructions, feeding each retirement to [on_retire].
-          [trace:true] is a full run (uop trace kept, STRAIGHT distance
-          histogram collected); [trace:false] a streaming pass that keeps
-          neither. *)
+    dist:bool -> max_insns:int ->
+    ?on_retire:(int -> Iss.Trace.uop -> unit) ->
+    Assembler.Image.t -> Iss.Trace.source;
+      (** a live ISS session at the reset state, feeding each retirement
+          to [on_retire]; [dist] collects the STRAIGHT source-distance
+          histogram (Fig. 16). *)
   family : family;
 }
 
-(** A live run: the engine plus the (already complete) ISS result it
-    replays. *)
+(** A live run: the engine, pulling the correct path from the ISS
+    through [stream] as it fetches. *)
 type t = {
   engine : Engine.t;
   run_info : Iss.Trace.run;
+      (** filled in as the ISS advances ({!Uop_stream.attach}); final
+          once {!Engine.finished} *)
+  stream : Uop_stream.t;
 }
 
 type result = {
@@ -59,15 +60,18 @@ val engine :
 
 val start :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->
-  ?from:int -> ?len:int -> ?warm:bool ->
+  ?from:int -> ?len:int -> ?warm:bool -> ?digest:bool ->
   target -> Params.t -> Assembler.Image.t -> t
-(** Run the ISS and stand the engine up at cycle 0; step it until
-    {!Engine.finished}, then {!finish}.  Without [from] and [len] the
-    whole program is timed.  With either, the ISS fast-forwards over the
-    first [from] (default 0) retirements — functionally warming caches,
-    branch predictor and RAS unless [warm] is [false] — and only the
-    next [len] (default: the rest) are timed; [run_info.trace] holds
-    just those.
+(** Start the ISS and stand the engine up at cycle 0 over the stream of
+    its retirements; step it until {!Engine.finished}, then {!finish}.
+    Without [from] and [len] the whole program is timed.  With either,
+    the ISS first fast-forwards over [from] (default 0) retirements —
+    functionally warming caches, branch predictor and RAS unless [warm]
+    is [false] — and the stream then carries the next [len] (default:
+    the rest).  Either way the ISS runs only as far ahead as fetch
+    pulls, and only the in-flight window of uops is retained.
+    [digest] (default [false]) folds every produced uop into the
+    stream's prefix digest, which a snapshot-taking session needs.
     @raise Diag.Error code [Config_error] on a model/target mismatch
     (before the ISS runs), or when [from] is at or past the end of the
     program. *)
@@ -75,10 +79,17 @@ val start :
 val resume :
   ?max_insns:int -> ?check:bool -> ?max_dist:int ->
   target -> Params.t -> Assembler.Image.t -> Bin.reader -> t
-(** {!start} of the whole program, with the engine state read from a
-    checkpoint image; the caller checks that the regenerated trace
-    matches the checkpoint.
+(** {!start} of the whole program (with the prefix digest on), with the
+    engine state read from a checkpoint image: the ISS replays to the
+    image's oldest in-flight index without retaining anything, then
+    refills the window to the head the image was saved at.  The caller
+    checks that the regenerated prefix ({!Uop_stream.digest},
+    {!Uop_stream.output}, [run_info.retired]) matches the checkpoint.
     @raise Bin.Corrupt on a malformed or mismatched image. *)
+
+val trace : ?max_insns:int -> target -> Assembler.Image.t -> Iss.Trace.uop array
+(** The whole retirement trace, materialized — for callers that replay
+    one trace many times through {!engine} (engine-only timing). *)
 
 val finish : t -> result
 (** Run the checker's end-of-run validation and freeze statistics. *)

@@ -8,64 +8,22 @@ module Image = Assembler.Image
 module Trace = Iss.Trace
 module Session = Ooo_common.Session
 
+(* Decode a static instruction for wrong-path fetch (stopping at
+   EBREAK). *)
 let static_uop (image : Image.t) pc : Trace.uop option =
-  match Image.fetch_word image pc with
-  | None -> None
-  | Some w ->
-    (match Encoding.decode w with
-     | None -> None
-     | Some insn ->
-       let fu =
-         match Isa.kind insn with
-         | Isa.Kmul -> Trace.FU_mul
-         | Isa.Kdiv -> Trace.FU_div
-         | Isa.Kload -> Trace.FU_load
-         | Isa.Kstore -> Trace.FU_store
-         | Isa.Kbranch | Isa.Kjump -> Trace.FU_branch
-         | Isa.Kalu -> Trace.FU_alu
-         | Isa.Khalt -> Trace.FU_alu
-       in
-       (match insn with
-        | Isa.Ebreak -> None
-        | _ ->
-          let ctrl =
-            match insn with
-            | Isa.Branch (_, _, _, off) ->
-              Trace.Cond { taken = false; target = pc + off }
-            | Isa.Jal (rd, off) ->
-              Trace.Uncond
-                { target = pc + off; is_call = rd = 1; is_ret = false }
-            | Isa.Jalr (rd, rs1, _) ->
-              Trace.Uncond
-                { target = -1; is_call = rd = 1; is_ret = rd = 0 && rs1 = 1 }
-            | _ -> Trace.Not_ctrl
-          in
-          let dest = match Isa.dest insn with Some r -> r | None -> 0 in
-          Some
-            { Trace.pc;
-              fu;
-              srcs_dist = [||];
-              srcs_reg =
-                Array.of_list (List.filter (fun r -> r <> 0) (Isa.sources insn));
-              dest_reg = dest;
-              has_dest = dest <> 0;
-              is_rmov = false;
-              is_nop = false;
-              is_spadd = false;
-              mem_addr = 0;
-              ctrl }))
+  match Option.bind (Image.fetch_word image pc) Encoding.decode with
+  | None | Some Isa.Ebreak -> None
+  | Some insn -> Some (Iss.Riscv_iss.static_uop ~pc ~taken:false insn)
 
+(* RV32IM has no distance histogram: [dist] is ignored. *)
 let target =
   { Session.decode = static_uop;
     iss =
-      (fun ~trace ~max_insns ?on_retire ?until image ->
-         let s =
-           Iss.Riscv_iss.start
-             ~config:{ Iss.Riscv_iss.collect_trace = trace; max_insns }
-             ?on_retire image
-         in
-         Iss.Riscv_iss.run_session ?until s;
-         Iss.Riscv_iss.finish s);
+      (fun ~dist:_ ~max_insns ?on_retire image ->
+         Iss.Riscv_iss.source
+           (Iss.Riscv_iss.start
+              ~config:{ Iss.Riscv_iss.collect_trace = false; max_insns }
+              ?on_retire image));
     family = Session.Rmt_family }
 
 type result = Session.result = {
@@ -77,6 +35,7 @@ type result = Session.result = {
 type session = Session.t = {
   engine : Ooo_common.Engine.t;
   run_info : Trace.run;
+  stream : Ooo_common.Uop_stream.t;
 }
 
 let start ?max_insns ?check params image =

@@ -22,6 +22,7 @@ type result = Ooo_common.Session.result = {
 type session = Ooo_common.Session.t = {
   engine : Ooo_common.Engine.t;
   run_info : Iss.Trace.run;
+  stream : Ooo_common.Uop_stream.t;
 }
 
 val start :

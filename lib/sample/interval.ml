@@ -97,8 +97,7 @@ let meta_of_spec (spec : Sim.spec) ~kind ~trace_digest : File.meta =
     committed = 0;
     trace_digest;
     output = "";
-    retired = 0;
-    dist_histogram = [||] }
+    retired = 0 }
 
 let write_checkpoint (spec : Sim.spec) ~path ~index ~start ~len ~warmup
     ~(warm_snap : string) (uops : Trace.uop array) =
@@ -268,8 +267,12 @@ let materialize ~dir (spec : Sim.spec) (sp : Spec.t) : plan * bool =
       Warm.observe warm u
     in
     let total_retired =
-      (st.Session.iss ~trace:false ~max_insns:spec.Sim.max_insns ~on_retire
-         image).Trace.retired
+      let src =
+        st.Session.iss ~dist:false ~max_insns:spec.Sim.max_insns ~on_retire
+          image
+      in
+      src.Trace.advance max_int;
+      src.Trace.count ()
     in
     (* the program halted with windows still open: truncated intervals *)
     List.iter close !open_windows;

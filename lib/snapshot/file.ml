@@ -7,8 +7,10 @@ module Bin = Ooo_common.Bin
 let magic = "STR8SNAP"
 
 (* v2 added the [kind] discriminator (engine image vs. sampling-interval
-   checkpoint); v1 files are rejected with a version message. *)
-let version = 2
+   checkpoint); v3 made an engine image's trace fingerprint cover the
+   produced prefix only (the streamed trace) and dropped the distance
+   histogram.  Older files are rejected with a version message. *)
+let version = 3
 let header_len = 24
 
 (* What the payload after the meta section holds. *)
@@ -31,7 +33,6 @@ type meta = {
   trace_digest : string;
   output : string;
   retired : int;
-  dist_histogram : int array;
 }
 
 let w_meta b (m : meta) =
@@ -55,8 +56,7 @@ let w_meta b (m : meta) =
   Bin.w_int b m.committed;
   Bin.w_string b m.trace_digest;
   Bin.w_string b m.output;
-  Bin.w_int b m.retired;
-  Bin.w_int_array b m.dist_histogram
+  Bin.w_int b m.retired
 
 let r_meta r : meta =
   let kind =
@@ -83,10 +83,9 @@ let r_meta r : meta =
   let trace_digest = Bin.r_string r in
   let output = Bin.r_string r in
   let retired = Bin.r_int r in
-  let dist_histogram = Bin.r_int_array r in
   { kind; target; params_json; workload_name; workload_source;
     workload_iterations; max_insns; max_dist; check; cycle; committed;
-    trace_digest; output; retired; dist_histogram }
+    trace_digest; output; retired }
 
 (* little-endian fixed-width header fields *)
 let put_le b n width =

@@ -13,8 +13,9 @@
 
     The meta section embeds the full workload source and model
     configuration, so a snapshot file alone reproduces its run: restore
-    recompiles the workload, re-runs the functional simulator (which is
-    deterministic), and proves the regenerated trace identical via
+    recompiles the workload, replays the functional simulator (which is
+    deterministic) up to the point the checkpoint's trace stream had
+    reached, and proves the regenerated prefix identical via
     {!meta.trace_digest} before handing the engine image over.
 
     Writes are atomic (temp file + [rename] in the destination
@@ -27,8 +28,11 @@
 val magic : string
 
 val version : int
-(** Container version 2: v2 added {!meta.kind} (engine image vs.
-    sampling-interval checkpoint); v1 files are rejected. *)
+(** Container version 3.  v2 added {!meta.kind} (engine image vs.
+    sampling-interval checkpoint); v3 made an engine image's
+    {!meta.trace_digest}, [output] and [retired] describe the produced
+    prefix of the streamed trace rather than the whole run, and dropped
+    the distance histogram.  Older files are rejected. *)
 
 (** What the payload after the meta section holds. *)
 type kind =
@@ -54,10 +58,12 @@ type meta = {
   check : bool;                 (** lockstep checker armed *)
   cycle : int;                  (** engine cycle at the save point *)
   committed : int;
-  trace_digest : string;        (** {!Iss.Trace.digest} of the uop trace *)
-  output : string;              (** ISS console output (full run) *)
-  retired : int;                (** ISS retired count (full run) *)
-  dist_histogram : int array;
+  trace_digest : string;
+      (** {!Iss.Trace.digest} of the uops: for an engine image, the
+          stream's produced prefix at the save point; for an interval,
+          its stored sub-trace *)
+  output : string;              (** ISS console output over that prefix *)
+  retired : int;                (** ISS retirements over that prefix *)
 }
 
 val save : string -> meta -> payload:string -> unit

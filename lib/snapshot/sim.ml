@@ -8,6 +8,7 @@ module Json = Ooo_common.Stats.Json
 module Trace = Iss.Trace
 module Exp = Straight_core.Experiment
 module Session = Ooo_common.Session
+module Uop_stream = Ooo_common.Uop_stream
 
 type spec = {
   target : Exp.target;
@@ -31,12 +32,14 @@ type session = {
 let compile (s : spec) : Assembler.Image.t * Session.target =
   Exp.compile ~max_dist:s.max_dist s.target s.workload.Workloads.source
 
-let start (s : spec) : session =
+(* [snapshots] keeps the stream's prefix digest, without which [save]
+   cannot fingerprint the trace *)
+let start ?(snapshots = true) (s : spec) : session =
   let image, st = compile s in
   { spec = s;
     live =
       Session.start ~max_insns:s.max_insns ~check:s.check ~max_dist:s.max_dist
-        st s.params image }
+        ~digest:snapshots st s.params image }
 
 let step s = Engine.step s.live.Session.engine
 let finished s = Engine.finished s.live.Session.engine
@@ -44,8 +47,10 @@ let cycle s = Engine.cycle s.live.Session.engine
 
 (* ---------- save ---------- *)
 
+(* The trace fingerprint covers the prefix the stream has produced: the
+   engine image references uops up to that head and no further. *)
 let meta_of (s : session) : File.meta =
-  let engine = s.live.Session.engine and run_info = s.live.Session.run_info in
+  let engine = s.live.Session.engine and stream = s.live.Session.stream in
   { File.kind = File.Engine_image;
     target = Exp.target_label s.spec.target;
     params_json = Json.to_string ~indent:false (Params.to_json s.spec.params);
@@ -57,10 +62,9 @@ let meta_of (s : session) : File.meta =
     check = s.spec.check;
     cycle = Engine.cycle engine;
     committed = Engine.committed_count engine;
-    trace_digest = Trace.digest run_info.Trace.trace;
-    output = run_info.Trace.output;
-    retired = run_info.Trace.retired;
-    dist_histogram = run_info.Trace.dist_histogram }
+    trace_digest = Uop_stream.digest stream;
+    output = Uop_stream.output stream;
+    retired = s.live.Session.run_info.Trace.retired }
 
 let save (s : session) path =
   let b = Buffer.create 65536 in
@@ -99,7 +103,7 @@ let spec_of_meta path (m : File.meta) : spec =
     max_dist = m.File.max_dist;
     check = m.File.check }
 
-let restore_meta path (m : File.meta) (r : Bin.reader) : session =
+let restore_meta ~snapshots path (m : File.meta) (r : Bin.reader) : session =
   (match m.File.kind with
    | File.Engine_image -> ()
    | File.Interval _ ->
@@ -116,30 +120,32 @@ let restore_meta path (m : File.meta) (r : Bin.reader) : session =
   in
   (try Bin.expect_end r
    with Bin.Corrupt msg -> reject path "engine image: %s" msg);
-  (* prove the regenerated functional run is the one the checkpoint was
-     taken against, not merely shaped like it *)
-  let run_info = live.Session.run_info in
-  let digest = Trace.digest run_info.Trace.trace in
+  (* prove the regenerated prefix is the one the checkpoint was taken
+     against, not merely shaped like it *)
+  let stream = live.Session.stream in
+  let digest = Uop_stream.digest stream in
   if digest <> m.File.trace_digest then
     reject path
       "regenerated trace digest %s differs from checkpoint digest %s \
        (compiler or ISS drift since the checkpoint was taken)"
       digest m.File.trace_digest;
-  if run_info.Trace.output <> m.File.output then
+  if Uop_stream.output stream <> m.File.output then
     reject path "regenerated program output differs from the checkpoint";
-  if run_info.Trace.retired <> m.File.retired then
+  let retired = live.Session.run_info.Trace.retired in
+  if retired <> m.File.retired then
     reject path "regenerated run retired %d instructions, checkpoint ran %d"
-      run_info.Trace.retired m.File.retired;
+      retired m.File.retired;
   if Engine.cycle live.Session.engine <> m.File.cycle then
     reject path "engine image is at cycle %d, meta records %d"
       (Engine.cycle live.Session.engine) m.File.cycle;
+  if not snapshots then Uop_stream.forget_digest stream;
   { spec = s; live }
 
-let restore path : session =
+let restore ?(snapshots = true) path : session =
   let m, r = File.load path in
-  restore_meta path m r
+  restore_meta ~snapshots path m r
 
-let resume (want : spec) path : session =
+let resume ?(snapshots = true) (want : spec) path : session =
   let m, r = File.load path in
   let got = spec_of_meta path m in
   if got.target <> want.target then
@@ -164,7 +170,7 @@ let resume (want : spec) path : session =
     reject path "checkpoint %s the lockstep checker, caller %s it"
       (if got.check then "arms" else "omits")
       (if want.check then "arms" else "omits");
-  restore_meta path m r
+  restore_meta ~snapshots path m r
 
 (* ---------- finish ---------- *)
 
@@ -220,14 +226,15 @@ let drive ?(checkpoint_every = 0) ?checkpoint_path ?stop_at
 
 let run ?checkpoint_every ?checkpoint_path ?restore_from ?stop_at
     ?deadlock_snapshot (sp : spec) : outcome =
+  let snapshots = checkpoint_path <> None || deadlock_snapshot <> None in
   let s =
     match restore_from with
-    | Some path -> resume sp path
-    | None -> start sp
+    | Some path -> resume ~snapshots sp path
+    | None -> start ~snapshots sp
   in
   drive ?checkpoint_every ?checkpoint_path ?stop_at ?deadlock_snapshot s
 
 let run_restored path : Exp.result =
-  let s = restore path in
+  let s = restore ~snapshots:false path in
   while not (finished s) do step s done;
   finish s

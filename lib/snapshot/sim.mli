@@ -8,10 +8,15 @@
     (cycle count, CPI stack, activity counters, fault and checker
     counts) is bit-identical to the uninterrupted run.
 
-    Restoring re-runs the deterministic functional simulator and proves
-    the regenerated trace identical to the one the checkpoint was taken
-    against ({!Iss.Trace.digest}) before touching the engine image, so a
-    snapshot can never silently resume against drifted code. *)
+    The trace is streamed, so a checkpoint fingerprints the prefix the
+    ISS had produced when it was taken: a chained {!Iss.Trace.digest}
+    of it (kept incrementally by every session of this module), its
+    console output and its retired count.  Restoring replays the
+    deterministic functional simulator from instruction 0 — retaining
+    nothing — to the engine image's oldest in-flight index, refills the
+    window to the saved head, and proves that prefix identical before
+    the engine resumes, so a snapshot can never silently resume against
+    drifted code. *)
 
 type spec = {
   target : Straight_core.Experiment.target;
@@ -43,18 +48,22 @@ val spec_of_meta : string -> File.meta -> spec
 
 type session
 
-val start : spec -> session
-(** Compile the workload, run the functional simulator, stand the
-    engine up at cycle 0. *)
+val start : ?snapshots:bool -> spec -> session
+(** Compile the workload, start the functional simulator, stand the
+    engine up at cycle 0 over its uop stream.  [snapshots] (default
+    [true]) keeps the incremental trace digest {!save} needs; a run
+    that will never be checkpointed passes [false] and pays nothing
+    for it. *)
 
-val restore : string -> session
+val restore : ?snapshots:bool -> string -> session
 (** Rebuild a session from a checkpoint file alone: the embedded spec
-    is recompiled and the regenerated trace is verified against the
-    stored digest and functional outcome.
+    is recompiled and the regenerated trace prefix is verified against
+    the stored digest, output and retired count.  [snapshots] (default
+    [true]) keeps the trace digest running afterwards, as {!start}'s.
     @raise Diag.Error code [Snapshot_error] on any corrupt, truncated,
     version-mismatched, or workload-mismatched file. *)
 
-val resume : spec -> string -> session
+val resume : ?snapshots:bool -> spec -> string -> session
 (** Like {!restore}, but additionally requires the checkpoint's
     embedded spec to match [spec] (same model, target, workload,
     budgets, checker arming) — the form used by the sweep pool, where a
@@ -66,7 +75,9 @@ val finished : session -> bool
 val cycle : session -> int
 
 val save : session -> string -> unit
-(** Atomically checkpoint the session at the current cycle boundary. *)
+(** Atomically checkpoint the session at the current cycle boundary.
+    @raise Invalid_argument on a session started or restored with
+    [~snapshots:false]. *)
 
 val finish : session -> Straight_core.Experiment.result
 

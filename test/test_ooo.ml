@@ -342,7 +342,7 @@ let test_session_rejects_isa_core_mismatch () =
   let no_iss (tg : Ooo_common.Session.target) =
     { tg with
       Ooo_common.Session.iss =
-        (fun ~trace:_ ~max_insns:_ ?on_retire:_ ?until:_ _ ->
+        (fun ~dist:_ ~max_insns:_ ?on_retire:_ _ ->
            Alcotest.fail "the ISS ran for a mismatched model") }
   in
   let straight = compile_straight sim_source in
@@ -393,6 +393,145 @@ let test_region_start_past_end () =
           Ooo_riscv.Pipeline.start_region ~from Params.ss_2way
             (compile_riscv sim_source) ) ]
 
+(* ---------- the streamed trace: bounded retained memory ---------- *)
+
+module Session = Ooo_common.Session
+module Trace = Iss.Trace
+
+(* The functional reference for the first [stop] retirements: the
+   materialized trace, console output, and distance histogram. *)
+let reference (tg : Session.target) ?(stop = max_int) image =
+  let acc = ref [] in
+  let src =
+    tg.Session.iss ~dist:true ~max_insns:Session.default_max_insns
+      ~on_retire:(fun _ u -> acc := u :: !acc) image
+  in
+  src.Trace.advance stop;
+  (Array.of_list (List.rev !acc), src.Trace.console (),
+   Array.copy src.Trace.histogram)
+
+(* Step a live session to completion, sampling what it retains — the
+   engine, the stream window and the ISS behind it — every 10k cycles
+   and at the end; returns the result and the largest sample. *)
+let run_sampled (s : Session.t) =
+  let peak = ref 0 in
+  let sample () = peak := max !peak (Obj.reachable_words (Obj.repr s)) in
+  while not (Engine.finished s.Session.engine) do
+    Engine.step s.Session.engine;
+    if Engine.cycle s.Session.engine mod 10_000 = 0 then sample ()
+  done;
+  sample ();
+  (Session.finish s, !peak)
+
+let step_engine e =
+  while not (Engine.finished e) do Engine.step e done;
+  Engine.finish e
+
+let stream_source iterations =
+  (Workloads.stream ~iterations ()).Workloads.source
+
+(* The window itself: a consumer that releases as it goes keeps the
+   buffer at the size of its lag, whatever the stream's length; the
+   array-backed form is complete from the start. *)
+let test_uop_stream_window () =
+  let module S = Ooo_common.Uop_stream in
+  let uop i =
+    { Trace.pc = 4 * i; fu = Trace.FU_alu; srcs_dist = [||]; srcs_reg = [||];
+      dest_reg = 0; has_dest = true; is_rmov = false; is_nop = false;
+      is_spadd = false; mem_addr = i; ctrl = Trace.Not_ctrl }
+  in
+  let n = 100_000 and lag = 300 in
+  let s = S.create () in
+  let pulled = ref 0 in
+  let src =
+    { Trace.advance = (fun _ -> S.push s (uop !pulled); incr pulled);
+      is_halted = (fun () -> !pulled >= n);
+      count = (fun () -> !pulled);
+      console = (fun () -> "done");
+      histogram = [||] }
+  in
+  let run =
+    { Trace.output = ""; retired = 0; trace = [||]; dist_histogram = [||] }
+  in
+  S.attach s run src;
+  for i = 0 to n - 1 do
+    Alcotest.(check bool) "available" true (S.available s i);
+    Alcotest.(check int) "in order" i (S.get s i).Trace.mem_addr;
+    if i >= lag then
+      Alcotest.(check int) "lagging index still held" (i - lag)
+        (S.get s (i - lag)).Trace.mem_addr;
+    S.release s (i - lag)
+  done;
+  Alcotest.(check bool) "last" true (S.is_last s (n - 1));
+  Alcotest.(check bool) "complete" true (S.complete s);
+  Alcotest.(check int) "produced" n (S.produced s);
+  Alcotest.(check string) "output final" "done" run.Trace.output;
+  Alcotest.(check int) "retired" n run.Trace.retired;
+  Alcotest.(check bool)
+    (Printf.sprintf "buffer of %d slots follows the %d-uop lag" (S.retained s)
+       lag)
+    true
+    (S.retained s <= 4 * lag);
+  let a = S.of_array (Array.init 5 uop) in
+  Alcotest.(check bool) "array: complete" true (S.complete a);
+  Alcotest.(check bool) "array: last" true (S.is_last a 4);
+  Alcotest.(check bool) "array: past the end" false (S.available a 5)
+
+(* A run ~4x longer retains no more than the short one (10% slack):
+   memory follows the in-flight window, not the run length.  Whole runs
+   and fast-forwarded regions, both targets, checker armed; the short
+   runs also match an array-backed replay of the materialized trace in
+   cycles, output and the Fig. 16 histogram. *)
+let test_stream_bounded_memory () =
+  List.iter
+    (fun (label, (tg : Session.target), model, compile) ->
+       let start ?from ?len image =
+         Session.start ~max_dist:31 ?from ?len tg model image
+       in
+       let bounded what short long =
+         Alcotest.(check bool)
+           (Printf.sprintf "%s %s: %d words retained at 4x the length, \
+                            %d at 1x" label what long short)
+           true
+           (float_of_int long <= 1.1 *. float_of_int short)
+       in
+       (* whole runs: one vs four outer iterations *)
+       let short_img = compile (stream_source 1) in
+       let r1, peak1 = run_sampled (start short_img) in
+       let _, peak4 = run_sampled (start (compile (stream_source 4))) in
+       bounded "whole run" peak1 peak4;
+       let trace, output, hist = reference tg short_img in
+       let st = step_engine (Session.engine ~max_dist:31 tg model short_img trace) in
+       Alcotest.(check int) (label ^ " whole run: cycles = array-backed")
+         st.Engine.cycles r1.Session.stats.Engine.cycles;
+       Alcotest.(check string) (label ^ " whole run: output") output
+         r1.Session.output;
+       Alcotest.(check (array int)) (label ^ " whole run: Fig. 16 histogram")
+         hist r1.Session.dist_histogram;
+       (* regions after a warmed fast-forward: 200k vs 800k *)
+       let long_img = compile (stream_source 4) in
+       let from = 100_000 in
+       let r_short, peak_short = run_sampled (start ~from ~len:200_000 long_img) in
+       let _, peak_long = run_sampled (start ~from ~len:800_000 long_img) in
+       bounded "region" peak_short peak_long;
+       let trace, output, _ = reference tg ~stop:(from + 200_000) long_img in
+       let w = Ooo_common.Warm.create model in
+       Array.iteri
+         (fun i u -> if i < from then Ooo_common.Warm.observe w u)
+         trace;
+       let st =
+         step_engine
+           (Session.engine ~max_dist:31 ~warm:w tg model long_img
+              (Array.sub trace from 200_000))
+       in
+       Alcotest.(check int) (label ^ " region: cycles = array-backed")
+         st.Engine.cycles r_short.Session.stats.Engine.cycles;
+       Alcotest.(check string) (label ^ " region: output") output
+         r_short.Session.output)
+    [ ("straight", Ooo_straight.Pipeline.target, Params.straight_2way,
+       compile_straight);
+      ("riscv", Ooo_riscv.Pipeline.target, Params.ss_2way, compile_riscv) ]
+
 let suite =
   [ ("cache basics", `Quick, test_cache_basics);
     ("cache LRU", `Quick, test_cache_lru);
@@ -420,6 +559,9 @@ let suite =
      test_session_rejects_isa_core_mismatch);
     ("session: region start past end", `Quick, test_region_start_past_end);
     ("engine: checker on built-in workloads", `Slow, test_checker_on_builtin_workloads);
-    ("engine: pointer chase misses", `Slow, test_pointer_chase_misses) ]
+    ("engine: pointer chase misses", `Slow, test_pointer_chase_misses);
+    ("session: uop stream window", `Quick, test_uop_stream_window);
+    ("session: streamed trace retains a bounded window", `Slow,
+     test_stream_bounded_memory) ]
 
 let () = Alcotest.run "ooo" [ ("ooo", suite) ]

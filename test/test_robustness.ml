@@ -131,10 +131,12 @@ let test_checker_divergence () =
   let tampered = Array.copy trace in
   tampered.(0) <- { tampered.(0) with Trace.pc = tampered.(0).Trace.pc + 4 };
   let checker =
-    Checker.create ~rename:Params.Rp ~trace:tampered ()
+    Checker.create ~rename:Params.Rp
+      ~golden:(Ooo_common.Uop_stream.of_array tampered) ()
   in
   match
-    Engine.run Params.straight_2way ~trace
+    Engine.run Params.straight_2way
+      ~stream:(Ooo_common.Uop_stream.of_array trace)
       ~decode_static:(Ooo_straight.Pipeline.static_uop image) ~checker ()
   with
   | _ -> Alcotest.fail "checker accepted a divergent golden trace"

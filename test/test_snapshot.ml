@@ -228,6 +228,25 @@ let test_reject_bad_version () =
        expect_snapshot_error "future container version" (fun () ->
            ignore (Sim.restore path)))
 
+(* a file written before the trace was streamed (container v2: a
+   whole-trace digest) is refused with a version message, not misread *)
+let test_reject_v2 () =
+  with_mutant "v2.snap"
+    (fun b -> Bytes.set b 8 (Char.chr 2))
+    (fun path ->
+       expect_snapshot_error "v2 container" (fun () ->
+           ignore (Sim.restore path));
+       match Sim.restore path with
+       | _ -> ()
+       | exception Diag.Error d ->
+         let reason =
+           Option.value ~default:"" (List.assoc_opt "reason" d.Diag.context)
+         in
+         Alcotest.(check string) "v2 container: version message"
+           (Printf.sprintf "container version 2, this build reads %d"
+              Snapshot.File.version)
+           reason)
+
 let test_reject_missing () =
   expect_snapshot_error "missing file" (fun () ->
       ignore (Sim.restore (tmp "does-not-exist.snap")))
@@ -318,6 +337,7 @@ let suite =
     ("reject: truncated file", `Quick, test_reject_truncated);
     ("reject: bad magic", `Quick, test_reject_bad_magic);
     ("reject: future version", `Quick, test_reject_bad_version);
+    ("reject: v2 container", `Quick, test_reject_v2);
     ("reject: missing file", `Quick, test_reject_missing);
     ("reject: resume under a different spec", `Quick,
      test_reject_spec_mismatch);
